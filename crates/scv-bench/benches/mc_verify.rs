@@ -2,7 +2,7 @@
 //! protocol ⊗ observer ⊗ checker product) and parallel speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scv_mc::{verify_protocol, Outcome as sc_outcome, SearchStrategy, VerifyOptions};
+use scv_mc::{verify_protocol, Outcome as sc_outcome, VerifyOptions};
 use scv_protocol::{MsiProtocol, SerialMemory, StoreBufferTso};
 use scv_types::Params;
 
@@ -52,31 +52,25 @@ fn bench_verify(c: &mut Criterion) {
     });
     group.finish();
 
-    // E9: parallel speedup on a bounded sweep of MSI's product space,
-    // for both parallel engines (work-stealing vs level-synchronous).
+    // E9: parallel speedup on a bounded sweep of MSI's product space.
     let mut group = c.benchmark_group("fig_par_mc");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(5));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    for (name, strategy) in [
-        ("ws", SearchStrategy::WorkStealing),
-        ("level-sync", SearchStrategy::LevelSync),
-    ] {
-        for threads in [1usize, 2, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("msi_2_1_2_150k_{name}"), threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        let out = verify_protocol(
-                            MsiProtocol::new(Params::new(2, 1, 2)),
-                            capped(threads, 150_000).strategy(strategy),
-                        );
-                        assert!(!matches!(out, sc_outcome::Violation { .. }));
-                    })
-                },
-            );
-        }
+    for threads in [1usize, 2, 4, 8] {
+        group.bench_with_input(
+            BenchmarkId::new("msi_2_1_2_150k_ws", threads),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let out = verify_protocol(
+                        MsiProtocol::new(Params::new(2, 1, 2)),
+                        capped(threads, 150_000),
+                    );
+                    assert!(!matches!(out, sc_outcome::Violation { .. }));
+                })
+            },
+        );
     }
     group.finish();
 }

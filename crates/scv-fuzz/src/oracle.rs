@@ -13,7 +13,7 @@
 //! 4. the **Gibbons–Korach baseline**: the witness extracted from the
 //!    decoded graph, re-saturated and re-checked by [`BaselineChecker`];
 //! 5. the **model-checking matrix**: `verify_protocol` verdicts across
-//!    search engines × thread counts × symmetry modes.
+//!    thread counts × symmetry modes.
 //!
 //! Soundness of the streaming checker (accept ⇒ the trace has a serial
 //! reordering) is universal, so it is enforced on *every* run, mutated or
@@ -26,7 +26,7 @@ use rand::Rng;
 use scv_checker::{ScChecker, ScVerdict};
 use scv_descriptor::{decode, Descriptor};
 use scv_graph::{has_serial_reordering, BaselineChecker, Witness};
-use scv_mc::{verify_protocol, Outcome, SearchStrategy, SymmetryMode, VerifyOptions};
+use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
 use scv_observer::{Observer, ObserverConfig};
 use scv_protocol::{Action, Protocol, Run};
 use std::fmt;
@@ -237,7 +237,7 @@ pub fn check_run<P: Protocol>(
 /// Outcome of the model-checking verdict matrix (oracle 5).
 #[derive(Clone, Copy, Debug)]
 pub struct McCheck {
-    /// Engine/symmetry combinations run.
+    /// Thread/symmetry combinations run.
     pub combos: usize,
     /// Some combination reported a violation.
     pub any_violation: bool,
@@ -245,21 +245,15 @@ pub struct McCheck {
     pub any_bounded: bool,
 }
 
-fn combo_opts(
-    threads: usize,
-    strategy: SearchStrategy,
-    symmetry: SymmetryMode,
-    max_states: usize,
-) -> VerifyOptions {
+fn combo_opts(threads: usize, symmetry: SymmetryMode, max_states: usize) -> VerifyOptions {
     VerifyOptions::new()
         .threads(threads)
-        .strategy(strategy)
         .symmetry(symmetry)
         .max_states(max_states)
 }
 
-fn combo_tag(threads: usize, strategy: SearchStrategy, symmetry: SymmetryMode) -> String {
-    format!("{strategy:?}/t{threads}/{symmetry:?}")
+fn combo_tag(threads: usize, symmetry: SymmetryMode) -> String {
+    format!("t{threads}/{symmetry:?}")
 }
 
 /// Run the model-checking matrix on a generated protocol and check the
@@ -267,7 +261,7 @@ fn combo_tag(threads: usize, strategy: SearchStrategy, symmetry: SymmetryMode) -
 ///
 /// A fixed baseline combination (sequential, symmetry off) runs first;
 /// `extra` further combinations are drawn at random from
-/// engines × {1,4} threads × symmetry modes. Agreement is on the *safe
+/// {1,4} threads × symmetry modes. Agreement is on the *safe
 /// class*: with `expect_violation` no combination may report `Verified`,
 /// and without it no combination may report `Violation` (`Bounded` is
 /// always permitted — caps are per-combination).
@@ -278,13 +272,11 @@ pub fn mc_matrix<R: Rng>(
     max_states: usize,
     rng: &mut R,
 ) -> Result<McCheck, Disagreement> {
-    let strategies = [SearchStrategy::WorkStealing, SearchStrategy::LevelSync];
     let modes = [SymmetryMode::Off, SymmetryMode::Proc, SymmetryMode::Full];
-    let mut combos = vec![(1usize, SearchStrategy::WorkStealing, SymmetryMode::Off)];
+    let mut combos = vec![(1usize, SymmetryMode::Off)];
     for _ in 0..extra {
         combos.push((
             if rng.gen_bool(0.5) { 1 } else { 4 },
-            strategies[rng.gen_range(0..strategies.len())],
             modes[rng.gen_range(0..modes.len())],
         ));
     }
@@ -293,10 +285,10 @@ pub fn mc_matrix<R: Rng>(
         any_violation: false,
         any_bounded: false,
     };
-    for (threads, strategy, symmetry) in combos {
+    for (threads, symmetry) in combos {
         let proto = GenProtocol::new(*cfg);
-        let out = verify_protocol(proto, combo_opts(threads, strategy, symmetry, max_states));
-        let tag = combo_tag(threads, strategy, symmetry);
+        let out = verify_protocol(proto, combo_opts(threads, symmetry, max_states));
+        let tag = combo_tag(threads, symmetry);
         match out {
             Outcome::Verified { .. } if expect_violation => {
                 return Err(Disagreement {

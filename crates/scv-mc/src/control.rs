@@ -2,9 +2,9 @@
 //!
 //! A [`Budget`] bounds a verification run by wall-clock time, admitted
 //! states, or resident memory; a [`CancelToken`] lets another thread stop
-//! it cooperatively. Both are checked by the search engines only at batch
+//! it cooperatively. Both are checked by the search core only at batch
 //! admission boundaries, so the per-state hot loop stays branch-cheap and
-//! an interrupted engine can always drain to a *consistent point*: every
+//! an interrupted search can always drain to a *consistent point*: every
 //! expanded state has all of its successors admitted, and every admitted
 //! but unexpanded state is in the frontier. That invariant is what makes
 //! the checkpoint/resume path exact rather than approximate.
@@ -65,7 +65,7 @@ impl Budget {
 /// A cooperative cancellation handle.
 ///
 /// Cloning is cheap and all clones share one flag; calling
-/// [`CancelToken::cancel`] from any thread asks every engine holding a
+/// [`CancelToken::cancel`] from any thread asks every search holding a
 /// clone to stop at its next admission boundary.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -155,7 +155,7 @@ impl fmt::Display for Coverage {
 }
 
 /// A [`Budget`] resolved against a concrete start instant, plus the
-/// cancel token — the form the engines actually poll.
+/// cancel token — the form the search actually polls.
 #[derive(Clone, Debug)]
 pub struct RunControl {
     cancel: CancelToken,

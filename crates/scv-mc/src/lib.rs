@@ -8,16 +8,16 @@
 //!
 //! * [`TransitionSystem`] — a generic labeled transition system with a
 //!   safety predicate;
-//! * [`bfs`] — sequential breadth-first reachability with counterexample
-//!   extraction (paths are depth-minimal);
-//! * [`ws_search`] — the default parallel engine: asynchronous
+//! * one search core, [`ws_search_controlled`]: asynchronous
 //!   work-stealing search over chunked per-worker deques with a striped,
 //!   batch-claimed seen-set ([`StripedSeen`]) and per-worker successor
-//!   arenas; see the [`ws`] module docs for the architecture and its
+//!   arenas. Sequential breadth-first search is its one-worker case
+//!   ([`bfs_controlled`]): three rules keyed on the worker count (FIFO
+//!   pops, one seen stripe, a flush after every expansion) make a
+//!   one-worker run admit states in exactly FIFO BFS order, so its state
+//!   counts are exact and its counterexamples shortest. See the [`ws`]
+//!   module docs for the architecture, the rules, and the
 //!   termination/counterexample arguments;
-//! * [`bfs_parallel`] — the older level-synchronous parallel BFS, kept
-//!   selectable via [`SearchStrategy::LevelSync`] for differential
-//!   testing against the work-stealing engine;
 //! * [`VerifySystem`] — the product system whose states pair a protocol
 //!   state with the observer and checker states (hashed through their
 //!   canonical encodings, which keeps the product finite);
@@ -28,7 +28,7 @@
 //!   [`Outcome::Inconclusive`] when a [`Budget`] tripped or the
 //!   [`CancelToken`] fired;
 //! * run control & checkpointing — [`Budget`], [`CancelToken`], and the
-//!   `*_controlled` engine variants interrupt a search at a consistent
+//!   `*_controlled` entry points interrupt a search at a consistent
 //!   point; [`checkpoint::CheckpointFile`] serializes it, and
 //!   [`VerifyOptions::resume_from`] continues it exactly.
 
@@ -44,16 +44,13 @@ pub mod ws;
 pub use checkpoint::{CheckpointError, CheckpointFile};
 pub use control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 pub use mc::{
-    bfs, bfs_controlled, bfs_parallel, bfs_parallel_controlled, eager_expand, BfsOptions,
-    ControlledSearch, Counterexample, ExpandScratch, Fingerprinter, McStats, SearchCheckpoint,
-    SearchResult, SearchStrategy, TransitionSystem,
+    eager_expand, BfsOptions, ControlledSearch, Counterexample, ExpandScratch, Fingerprinter,
+    McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
 pub use seen::StripedSeen;
 pub use sip::{Sip, SipBuild, SipHasher13};
-#[allow(deprecated)]
-pub use verify::verify_system;
 pub use verify::{
     verify_protocol, EncRef, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
     VerifySystem,
 };
-pub use ws::{ws_search, ws_search_controlled, ws_search_detailed, WorkerStats};
+pub use ws::{bfs_controlled, ws_search, ws_search_controlled, WorkerStats, DEFAULT_BATCH};

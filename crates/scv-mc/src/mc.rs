@@ -1,12 +1,11 @@
-//! Generic explicit-state reachability: sequential and parallel BFS.
+//! The vocabulary of explicit-state reachability: transition systems,
+//! fingerprints, search limits, statistics, results and checkpoints. The
+//! search itself is the one core in [`crate::ws`].
 
-use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::control::{code_to_reason, reason_to_code, InterruptReason, RunControl};
+use crate::control::InterruptReason;
 use crate::sip::SipBuild;
 
 /// 128-bit state fingerprints for the seen-set.
@@ -82,7 +81,7 @@ impl Fingerprinter {
 
 /// Opaque per-worker scratch space for [`TransitionSystem::expand_admitted`].
 ///
-/// Engines obtain one per worker via [`TransitionSystem::expand_scratch`]
+/// The search core obtains one per worker via [`TransitionSystem::expand_scratch`]
 /// and thread it through every expansion on that worker; what lives inside
 /// is the system's business (the product system keeps replay copies of the
 /// observer/checker, encoding arenas, and its orbit-seal cache here).
@@ -155,8 +154,8 @@ pub trait TransitionSystem {
     fn violation(&self, s: &Self::State) -> Option<Self::Violation>;
 
     /// Append all successors of `s` to `out` instead of allocating a
-    /// fresh `Vec`. The work-stealing engine calls this with a reused
-    /// per-worker buffer; implementations that can generate successors
+    /// fresh `Vec`. Checkpoint replay and [`eager_expand`] call this with
+    /// a reused buffer; implementations that can generate successors
     /// in place should override it (the default delegates to
     /// [`TransitionSystem::successors`]).
     fn successors_into(&self, s: &Self::State, out: &mut Vec<(Self::Label, Self::State)>) {
@@ -164,7 +163,8 @@ pub trait TransitionSystem {
     }
 
     /// Per-worker scratch for [`TransitionSystem::expand_admitted`];
-    /// engines create one per worker and reuse it for every expansion.
+    /// the search core creates one per worker and reuses it for every
+    /// expansion.
     fn expand_scratch(&self) -> ExpandScratch {
         ExpandScratch::none()
     }
@@ -173,15 +173,15 @@ pub trait TransitionSystem {
     /// first, ask `admit` which fingerprints are worth keeping, and push
     /// only the admitted `(label, state, fingerprint)` triples to `out`.
     ///
-    /// The contract, which all three engines rely on:
+    /// The contract, which the search core relies on:
     ///
     /// * every candidate successor's fingerprint is passed to `admit`
     ///   (possibly across several calls), and `admit` fills one `bool` per
     ///   fingerprint — `true` means materialize;
     /// * an admitted triple's fingerprint is exactly what `admit` saw, and
     ///   hashing the materialized state through `fper` reproduces it;
-    /// * `admit` is a *hint*, not a claim: engines still insert admitted
-    ///   fingerprints into their seen-set authoritatively, so false
+    /// * `admit` is a *hint*, not a claim: the core still inserts admitted
+    ///   fingerprints into its seen-set authoritatively, so false
     ///   positives (a racing worker admitted the state first, or the same
     ///   fingerprint appears twice in one expansion) cost a wasted
     ///   materialization, never a duplicate or dropped state.
@@ -201,25 +201,6 @@ pub trait TransitionSystem {
         let _ = scratch;
         eager_expand(self, s, fper, admit, out);
     }
-}
-
-/// Which search engine to run when `threads > 1`.
-///
-/// Both engines implement the same [`TransitionSystem`] contract and
-/// return the same verdicts; keeping the old level-synchronous path
-/// selectable enables differential testing (`tests/parallel_mc.rs` runs
-/// every protocol under both).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Asynchronous work-stealing search ([`crate::ws::ws_search`]):
-    /// chunked per-worker deques, batch-granular stealing, batched
-    /// seen-set claiming. The default.
-    #[default]
-    WorkStealing,
-    /// Level-synchronous parallel BFS ([`bfs_parallel`]): a barrier per
-    /// BFS level, one seen-set lock per successor. Kept for differential
-    /// testing and as the reference for depth-minimal exploration order.
-    LevelSync,
 }
 
 /// Search limits.
@@ -282,16 +263,13 @@ pub struct McStats {
     pub depth: usize,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// Worker threads used (1 for the sequential searcher).
+    /// Worker threads used (1 for sequential BFS).
     pub workers: usize,
-    /// Successful chunk steals across all workers (work-stealing engine
-    /// only; 0 elsewhere).
+    /// Successful chunk steals across all workers (0 with one worker).
     pub steals: usize,
-    /// Seen-set lock acquisitions, i.e. batch inserts (work-stealing
-    /// engine only; 0 elsewhere).
+    /// Seen-set lock acquisitions, i.e. batch inserts.
     pub seen_batches: usize,
-    /// Peak number of states queued for expansion at any instant
-    /// (work-stealing engine only; 0 elsewhere).
+    /// Peak number of states queued for expansion at any instant.
     pub peak_frontier: usize,
 }
 
@@ -348,7 +326,7 @@ impl<L, V> SearchResult<L, V> {
 /// (with per-state BFS depths), the parent edges accumulated so far, and
 /// the running totals.
 ///
-/// The *consistency point* invariant all engines guarantee before handing
+/// The *consistency point* invariant the search core guarantees before handing
 /// one of these back: every expanded state has all of its successors
 /// admitted, and every admitted-but-unexpanded state appears in
 /// `frontier`. Resuming therefore never re-expands or skips a state, and
@@ -380,7 +358,7 @@ pub struct SearchCheckpoint<S, L> {
 pub enum ControlledSearch<S, L, V = String> {
     /// The search ran to a verdict (safe, bounded, or unsafe).
     Finished(SearchResult<L, V>),
-    /// A budget tripped or a cancel arrived; the engine drained to a
+    /// A budget tripped or a cancel arrived; the search drained to a
     /// consistent point and packaged the partial search.
     Interrupted {
         /// Which limit stopped the run.
@@ -402,573 +380,11 @@ impl<S, L, V> ControlledSearch<S, L, V> {
     }
 }
 
-/// Mirror a finished search's aggregates into the telemetry registry.
-///
-/// Engines that already stream counters during the run (the work-stealing
-/// searcher) pass `counters_live = true` so only gauges are written;
-/// the sequential/level-sync engines publish everything here. Gauges
-/// describe the *most recent* search — counters accumulate across runs.
-pub(crate) fn publish_search_stats(stats: &McStats, counters_live: bool) {
-    if !scv_telemetry::enabled() {
-        return;
-    }
-    use scv_telemetry::Metric;
-    if !counters_live {
-        scv_telemetry::add(Metric::McStatesAdmitted, stats.states as u64);
-        scv_telemetry::add(Metric::McTransitions, stats.transitions as u64);
-        scv_telemetry::add(Metric::McSteals, stats.steals as u64);
-        scv_telemetry::add(Metric::McSeenBatches, stats.seen_batches as u64);
-    }
-    scv_telemetry::set_gauge("mc.states", stats.states as f64);
-    scv_telemetry::set_gauge("mc.depth", stats.depth as f64);
-    scv_telemetry::set_gauge("mc.workers", stats.workers as f64);
-    scv_telemetry::set_gauge("mc.peak_frontier", stats.peak_frontier as f64);
-    scv_telemetry::set_gauge("mc.states_per_sec", stats.states_per_sec());
-    scv_telemetry::set_gauge("mc.elapsed_secs", stats.elapsed.as_secs_f64());
-}
-
-/// Sequential BFS with parent tracking for counterexample extraction.
-/// The seen-set stores 128-bit fingerprints, not states (see
-/// [`Fingerprinter`]); full states live only in the frontier.
-pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::Label, T::Violation> {
-    let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-    let r = match bfs_controlled(sys, opts, &RunControl::unlimited(), None) {
-        ControlledSearch::Finished(r) => r,
-        ControlledSearch::Interrupted { .. } => {
-            unreachable!("an unlimited RunControl never interrupts")
-        }
-    };
-    publish_search_stats(&r.stats(), false);
-    r
-}
-
-/// Sequential BFS under a [`RunControl`], optionally resuming a prior
-/// [`SearchCheckpoint`].
-///
-/// Limits are checked once per state expansion (the admission boundary):
-/// when one trips, the state about to be expanded goes back to the front
-/// of the queue and the whole search — seen-set, frontier, parent edges —
-/// is packaged into a checkpoint. The queue is FIFO over `(state, fp,
-/// depth)` triples, so exploration order (and counterexample minimality on
-/// fresh runs) matches the classic level-by-level formulation.
-pub fn bfs_controlled<T: TransitionSystem>(
-    sys: &T,
-    opts: BfsOptions,
-    ctrl: &RunControl,
-    resume: Option<SearchCheckpoint<T::State, T::Label>>,
-) -> ControlledSearch<T::State, T::Label, T::Violation> {
-    use scv_telemetry::recorder;
-    let start = Instant::now();
-    if recorder::recorder_enabled() {
-        recorder::set_worker("main");
-    }
-    let fper = match &resume {
-        Some(ck) => Fingerprinter::from_seeds(ck.seeds),
-        None => Fingerprinter::new(),
-    };
-    let mut stats = McStats {
-        workers: 1,
-        ..Default::default()
-    };
-    // Seen map: fingerprint -> parent edge; the label chain is all a
-    // counterexample needs.
-    let mut seen: HashMap<u128, Option<(u128, T::Label)>> = HashMap::new();
-    let mut frontier: VecDeque<(T::State, u128, usize)> = VecDeque::new();
-    let init_fp;
-
-    match resume {
-        Some(ck) => {
-            init_fp = ck.init_fp;
-            seen.reserve(ck.seen.len());
-            for fp in &ck.seen {
-                seen.insert(*fp, None);
-            }
-            for (child, parent, label) in ck.parents {
-                seen.insert(child, Some((parent, label)));
-            }
-            stats.states = ck.states;
-            stats.transitions = ck.transitions;
-            stats.depth = ck.depth;
-            frontier.extend(ck.frontier);
-        }
-        None => {
-            let init = sys.initial();
-            init_fp = fper.fp(&init);
-            seen.insert(init_fp, None);
-            stats.states = 1;
-            if let Some(reason) = sys.violation(&init) {
-                stats.elapsed = start.elapsed();
-                return ControlledSearch::Finished(SearchResult::Unsafe(
-                    Counterexample {
-                        path: Vec::new(),
-                        reason,
-                    },
-                    stats,
-                ));
-            }
-            frontier.push_back((init, init_fp, 0));
-        }
-    }
-
-    let rebuild = |seen: &HashMap<u128, Option<(u128, T::Label)>>, mut at: u128| -> Vec<T::Label> {
-        let mut path = Vec::new();
-        while let Some(Some((p, l))) = seen.get(&at) {
-            path.push(l.clone());
-            at = *p;
-        }
-        path.reverse();
-        path
-    };
-
-    let mut scratch = sys.expand_scratch();
-    let mut admitted: Vec<(T::Label, T::State, u128)> = Vec::new();
-    let mut truncated = false;
-    let mut depth_limited = false;
-    let mut ticks = 0u32;
-    let mut rec_depth = usize::MAX; // last depth the recorder sampled at
-    while let Some((s, sfp, d)) = frontier.pop_front() {
-        if let Some(reason) = ctrl.trip(stats.states, &mut ticks) {
-            frontier.push_front((s, sfp, d));
-            stats.elapsed = start.elapsed();
-            let checkpoint = SearchCheckpoint {
-                seeds: fper.seeds(),
-                init_fp,
-                seen: seen.keys().copied().collect(),
-                frontier: frontier.into_iter().collect(),
-                parents: seen
-                    .iter()
-                    .filter_map(|(c, p)| p.as_ref().map(|(pf, l)| (*c, *pf, l.clone())))
-                    .collect(),
-                states: stats.states,
-                transitions: stats.transitions,
-                depth: stats.depth,
-            };
-            return ControlledSearch::Interrupted {
-                reason,
-                checkpoint,
-                stats,
-            };
-        }
-        if d >= opts.max_depth {
-            depth_limited = true;
-            continue;
-        }
-        if recorder::recorder_enabled() && rec_depth != d {
-            rec_depth = d;
-            recorder::counter(
-                recorder::CounterTrack::FrontierDepth,
-                frontier.len() as f64 + 1.0,
-            );
-            recorder::counter(recorder::CounterTrack::SeenStates, stats.states as f64);
-            recorder::set_live(
-                recorder::LiveGauge::FrontierDepth,
-                frontier.len() as u64 + 1,
-            );
-        }
-        // Admission gate: probe the seen-set with fingerprints so
-        // duplicate successors are rejected before materialization.
-        admitted.clear();
-        {
-            let seen = &seen;
-            let transitions = &mut stats.transitions;
-            let mut admit = |fps: &[u128], keep: &mut Vec<bool>| {
-                *transitions += fps.len();
-                keep.clear();
-                keep.extend(fps.iter().map(|fp| !seen.contains_key(fp)));
-            };
-            sys.expand_admitted(&s, &mut scratch, &fper, &mut admit, &mut admitted);
-        }
-        for (label, t, fp) in admitted.drain(..) {
-            // Authoritative insert: within-expansion duplicates both
-            // pass the probe, so re-check here.
-            match seen.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(_) => continue,
-                std::collections::hash_map::Entry::Vacant(v) => v.insert(Some((sfp, label))),
-            };
-            stats.states += 1;
-            stats.depth = stats.depth.max(d + 1);
-            if let Some(reason) = sys.violation(&t) {
-                stats.elapsed = start.elapsed();
-                return ControlledSearch::Finished(SearchResult::Unsafe(
-                    Counterexample {
-                        path: rebuild(&seen, fp),
-                        reason,
-                    },
-                    stats,
-                ));
-            }
-            if stats.states >= opts.max_states {
-                truncated = true;
-                break;
-            }
-            frontier.push_back((t, fp, d + 1));
-        }
-        if truncated {
-            break;
-        }
-    }
-    stats.elapsed = start.elapsed();
-    ControlledSearch::Finished(if truncated || depth_limited {
-        SearchResult::Bounded(stats)
-    } else {
-        SearchResult::Safe(stats)
-    })
-}
-
-/// Parallel level-synchronous BFS: each level's frontier is split among
-/// scoped worker threads; the seen-set is sharded by state hash behind
-/// mutexes. Returns the same verdicts as [`bfs`] (the counterexample path
-/// is reconstructed from parent edges stored in the shards).
-pub fn bfs_parallel<T>(
-    sys: &T,
-    opts: BfsOptions,
-    threads: usize,
-) -> SearchResult<T::Label, T::Violation>
-where
-    T: TransitionSystem + Sync,
-    T::State: Sync,
-    T::Label: Sync,
-{
-    if threads <= 1 {
-        return bfs(sys, opts);
-    }
-    let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-    let r = match bfs_parallel_controlled(sys, opts, threads, &RunControl::unlimited(), None) {
-        ControlledSearch::Finished(r) => r,
-        ControlledSearch::Interrupted { .. } => {
-            unreachable!("an unlimited RunControl never interrupts")
-        }
-    };
-    publish_search_stats(&r.stats(), false);
-    r
-}
-
-/// One shard of the parallel parent map: fingerprint -> optional
-/// (parent fingerprint, label) edge.
-type ParentShard<L> = Mutex<HashMap<u128, Option<(u128, L)>>>;
-
-/// Collect the contents of sharded parent maps into checkpoint form:
-/// every key into `seen`, every recorded edge into `parents`.
-fn drain_shard_maps<L: Clone>(shards: &[ParentShard<L>]) -> (Vec<u128>, Vec<(u128, u128, L)>) {
-    let mut seen = Vec::new();
-    let mut parents = Vec::new();
-    for shard in shards {
-        let m = shard.lock().unwrap();
-        for (child, edge) in m.iter() {
-            seen.push(*child);
-            if let Some((parent, label)) = edge {
-                parents.push((*child, *parent, label.clone()));
-            }
-        }
-    }
-    (seen, parents)
-}
-
-/// Level-synchronous parallel BFS under a [`RunControl`], optionally
-/// resuming a prior [`SearchCheckpoint`].
-///
-/// Workers poll the control once per state (the admission boundary) and
-/// raise a shared interrupt flag on a trip; every worker then stops
-/// *between* expansions, so each processed state has all successors
-/// admitted. The checkpoint frontier is the unprocessed remainder of each
-/// worker's chunk plus everything admitted this level.
-pub fn bfs_parallel_controlled<T>(
-    sys: &T,
-    opts: BfsOptions,
-    threads: usize,
-    ctrl: &RunControl,
-    resume: Option<SearchCheckpoint<T::State, T::Label>>,
-) -> ControlledSearch<T::State, T::Label, T::Violation>
-where
-    T: TransitionSystem + Sync,
-    T::State: Sync,
-    T::Label: Sync,
-{
-    if threads <= 1 {
-        return bfs_controlled(sys, opts, ctrl, resume);
-    }
-    use scv_telemetry::recorder;
-    const SHARDS: usize = 64;
-    let start = Instant::now();
-    if recorder::recorder_enabled() {
-        recorder::set_worker("main");
-    }
-    let fper = match &resume {
-        Some(ck) => Fingerprinter::from_seeds(ck.seeds),
-        None => Fingerprinter::new(),
-    };
-    let shard_of = |fp: u128| -> usize { (fp as usize) % SHARDS };
-    // Shard maps: fingerprint -> (parent fingerprint, label); the label
-    // chain is all a counterexample needs.
-    type Parent<T> = Option<(u128, <T as TransitionSystem>::Label)>;
-    let shards: Vec<Mutex<HashMap<u128, Parent<T>>>> =
-        (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-
-    let n_states = AtomicU64::new(0);
-    let n_trans = AtomicU64::new(0);
-    let depth_max = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let interrupt = AtomicU8::new(0);
-    let depth_limited = AtomicBool::new(false);
-    let found: Mutex<Option<(u128, T::Violation)>> = Mutex::new(None);
-    let init_fp;
-
-    let mut frontier: Vec<(T::State, u128, usize)>;
-    match resume {
-        Some(ck) => {
-            init_fp = ck.init_fp;
-            for fp in &ck.seen {
-                shards[shard_of(*fp)].lock().unwrap().insert(*fp, None);
-            }
-            for (child, parent, label) in ck.parents {
-                shards[shard_of(child)]
-                    .lock()
-                    .unwrap()
-                    .insert(child, Some((parent, label)));
-            }
-            n_states.store(ck.states as u64, Ordering::Relaxed);
-            n_trans.store(ck.transitions as u64, Ordering::Relaxed);
-            depth_max.store(ck.depth as u64, Ordering::Relaxed);
-            frontier = ck.frontier;
-        }
-        None => {
-            let init = sys.initial();
-            if let Some(reason) = sys.violation(&init) {
-                let stats = McStats {
-                    states: 1,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                };
-                return ControlledSearch::Finished(SearchResult::Unsafe(
-                    Counterexample {
-                        path: Vec::new(),
-                        reason,
-                    },
-                    stats,
-                ));
-            }
-            init_fp = fper.fp(&init);
-            shards[shard_of(init_fp)]
-                .lock()
-                .unwrap()
-                .insert(init_fp, None);
-            n_states.store(1, Ordering::Relaxed);
-            frontier = vec![(init, init_fp, 0)];
-        }
-    }
-
-    let mut truncated = false;
-    // Per-worker expansion scratch, hoisted out of the level loop so the
-    // replay buffers and seal caches survive across levels.
-    let mut scratches: Vec<ExpandScratch> = (0..threads).map(|_| sys.expand_scratch()).collect();
-
-    while !frontier.is_empty() && !stop.load(Ordering::Relaxed) {
-        if recorder::recorder_enabled() {
-            recorder::counter(recorder::CounterTrack::FrontierDepth, frontier.len() as f64);
-            recorder::counter(
-                recorder::CounterTrack::SeenStates,
-                n_states.load(Ordering::Relaxed) as f64,
-            );
-            recorder::set_live(recorder::LiveGauge::FrontierDepth, frontier.len() as u64);
-        }
-        // A frontier entry: state, its fingerprint, and its depth.
-        type Entry<S> = (S, u128, usize);
-        let chunk_slices: Vec<&[Entry<T::State>]> =
-            frontier.chunks(frontier.len().div_ceil(threads)).collect();
-        // Each worker returns (admitted successors, states fully processed):
-        // on an interrupt the unprocessed chunk tail goes back into the
-        // checkpoint frontier.
-        let results: Vec<(Vec<Entry<T::State>>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk_slices
-                .iter()
-                .copied()
-                .zip(scratches.iter_mut())
-                .enumerate()
-                .map(|(wi, (chunk, scratch))| {
-                    let shards = &shards;
-                    let n_states = &n_states;
-                    let n_trans = &n_trans;
-                    let depth_max = &depth_max;
-                    let stop = &stop;
-                    let interrupt = &interrupt;
-                    let depth_limited = &depth_limited;
-                    let found = &found;
-                    let fper = &fper;
-                    let shard_of = &shard_of;
-                    scope.spawn(move || {
-                        if recorder::recorder_enabled() {
-                            recorder::set_worker(&format!("bfs-{wi}"));
-                        }
-                        let mut local = Vec::new();
-                        let mut admitted: Vec<(T::Label, T::State, u128)> = Vec::new();
-                        let mut ticks = 0u32;
-                        let mut processed = 0usize;
-                        for (s, sfp, d) in chunk {
-                            if stop.load(Ordering::Relaxed)
-                                || interrupt.load(Ordering::Relaxed) != 0
-                            {
-                                break;
-                            }
-                            if let Some(reason) =
-                                ctrl.trip(n_states.load(Ordering::Relaxed) as usize, &mut ticks)
-                            {
-                                let _ = interrupt.compare_exchange(
-                                    0,
-                                    reason_to_code(reason),
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                );
-                                break;
-                            }
-                            if *d >= opts.max_depth {
-                                depth_limited.store(true, Ordering::Relaxed);
-                                processed += 1;
-                                continue;
-                            }
-                            // Probe-only admission (one shard lock per
-                            // candidate); the insert below stays
-                            // authoritative, so probe races are safe.
-                            admitted.clear();
-                            let mut admit = |fps: &[u128], keep: &mut Vec<bool>| {
-                                n_trans.fetch_add(fps.len() as u64, Ordering::Relaxed);
-                                keep.clear();
-                                keep.extend(fps.iter().map(|fp| {
-                                    !shards[shard_of(*fp)].lock().unwrap().contains_key(fp)
-                                }));
-                            };
-                            sys.expand_admitted(s, scratch, fper, &mut admit, &mut admitted);
-                            let mut broke = false;
-                            for (label, t, tfp) in admitted.drain(..) {
-                                {
-                                    let mut m = shards[shard_of(tfp)].lock().unwrap();
-                                    if m.contains_key(&tfp) {
-                                        continue;
-                                    }
-                                    m.insert(tfp, Some((*sfp, label)));
-                                }
-                                let total = n_states.fetch_add(1, Ordering::Relaxed) + 1;
-                                depth_max.fetch_max(*d as u64 + 1, Ordering::Relaxed);
-                                if let Some(v) = sys.violation(&t) {
-                                    *found.lock().unwrap() = Some((tfp, v));
-                                    stop.store(true, Ordering::Relaxed);
-                                    broke = true;
-                                    break;
-                                }
-                                if total as usize >= opts.max_states {
-                                    stop.store(true, Ordering::Relaxed);
-                                    broke = true;
-                                    break;
-                                }
-                                local.push((t, tfp, d + 1));
-                            }
-                            if broke {
-                                break;
-                            }
-                            processed += 1;
-                        }
-                        // Level threads are short-lived; move their rings
-                        // into the collected set before the scope joins
-                        // (TLS destructors may run after `scope` returns).
-                        recorder::flush_worker();
-                        (local, processed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .collect::<Vec<_>>()
-        });
-
-        let tripped = interrupt.load(Ordering::Relaxed);
-        if tripped != 0 && !stop.load(Ordering::Relaxed) {
-            // Consistent point: every processed state is fully expanded;
-            // the snapshot frontier is each chunk's unprocessed tail plus
-            // everything admitted this level.
-            let mut snap: Vec<(T::State, u128, usize)> = Vec::new();
-            for (chunk, (local, processed)) in chunk_slices.iter().zip(results) {
-                snap.extend(chunk[processed..].iter().cloned());
-                snap.extend(local);
-            }
-            let (seen, parents) = drain_shard_maps(&shards);
-            let stats = McStats {
-                states: n_states.load(Ordering::Relaxed) as usize,
-                transitions: n_trans.load(Ordering::Relaxed) as usize,
-                depth: depth_max.load(Ordering::Relaxed) as usize,
-                elapsed: start.elapsed(),
-                workers: threads,
-                ..Default::default()
-            };
-            let checkpoint = SearchCheckpoint {
-                seeds: fper.seeds(),
-                init_fp,
-                seen,
-                frontier: snap,
-                parents,
-                states: stats.states,
-                transitions: stats.transitions,
-                depth: stats.depth,
-            };
-            return ControlledSearch::Interrupted {
-                reason: code_to_reason(tripped),
-                checkpoint,
-                stats,
-            };
-        }
-
-        frontier = results.into_iter().flat_map(|(local, _)| local).collect();
-        if stop.load(Ordering::Relaxed) {
-            truncated = true;
-            break;
-        }
-    }
-
-    let mut stats = McStats {
-        states: n_states.load(Ordering::Relaxed) as usize,
-        transitions: n_trans.load(Ordering::Relaxed) as usize,
-        depth: depth_max.load(Ordering::Relaxed) as usize,
-        elapsed: start.elapsed(),
-        workers: threads,
-        ..Default::default()
-    };
-    let found = found.lock().unwrap().take();
-    if let Some((bad, reason)) = found {
-        // Reconstruct the label path through the shard parent maps.
-        let mut path = Vec::new();
-        let mut cur = bad;
-        loop {
-            let parent = shards[shard_of(cur)]
-                .lock()
-                .unwrap()
-                .get(&cur)
-                .cloned()
-                .flatten();
-            match parent {
-                Some((p, l)) => {
-                    path.push(l);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        path.reverse();
-        stats.elapsed = start.elapsed();
-        return ControlledSearch::Finished(SearchResult::Unsafe(
-            Counterexample { path, reason },
-            stats,
-        ));
-    }
-    ControlledSearch::Finished(if truncated || depth_limited.load(Ordering::Relaxed) {
-        SearchResult::Bounded(stats)
-    } else {
-        SearchResult::Safe(stats)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{Budget, CancelToken};
+    use crate::control::{Budget, CancelToken, RunControl};
+    use crate::ws::{bfs_controlled, ws_search, DEFAULT_BATCH};
 
     /// A counter modulo n that "violates" at a designated value.
     struct Counter {
@@ -992,14 +408,24 @@ mod tests {
         }
     }
 
+    /// Sequential BFS without run control: the search core with one
+    /// worker.
+    fn bfs(sys: &Counter, opts: BfsOptions) -> SearchResult<&'static str> {
+        ws_search(sys, opts, 1, DEFAULT_BATCH).0
+    }
+
     #[test]
     fn safe_system_explores_all_states() {
         let sys = Counter { n: 97, bad: None };
         let r = bfs(&sys, BfsOptions::default());
         assert!(r.is_safe());
         assert_eq!(r.stats().states, 97);
+        assert_eq!(r.stats().workers, 1);
+        assert!(
+            r.stats().peak_frontier > 0,
+            "one worker reports its frontier"
+        );
     }
-
     #[test]
     fn violation_found_with_shortest_path() {
         let sys = Counter {
@@ -1041,46 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential_on_safe() {
-        let sys = Counter { n: 977, bad: None };
-        let seq = bfs(&sys, BfsOptions::default());
-        let par = bfs_parallel(&sys, BfsOptions::default(), 4);
-        assert!(seq.is_safe() && par.is_safe());
-        assert_eq!(seq.stats().states, par.stats().states);
-    }
-
-    #[test]
-    fn parallel_finds_violations() {
-        let sys = Counter {
-            n: 977,
-            bad: Some(123),
-        };
-        match bfs_parallel(&sys, BfsOptions::default(), 4) {
-            SearchResult::Unsafe(ce, _) => {
-                let mut s = 0u32;
-                for l in &ce.path {
-                    s = match *l {
-                        "inc" => (s + 1) % 977,
-                        _ => (s * 2) % 977,
-                    };
-                }
-                assert_eq!(s, 123, "path must replay to the bad state");
-            }
-            r => panic!("expected Unsafe, got {r:?}"),
-        }
-    }
-
-    #[test]
     fn violating_initial_state_caught() {
         let sys = Counter {
             n: 10,
             bad: Some(0),
         };
         match bfs(&sys, BfsOptions::default()) {
-            SearchResult::Unsafe(ce, _) => assert!(ce.path.is_empty()),
-            r => panic!("expected Unsafe, got {r:?}"),
-        }
-        match bfs_parallel(&sys, BfsOptions::default(), 2) {
             SearchResult::Unsafe(ce, _) => assert!(ce.path.is_empty()),
             r => panic!("expected Unsafe, got {r:?}"),
         }
@@ -1123,33 +515,6 @@ mod tests {
         }
     }
 
-    /// Same for the level-synchronous parallel engine, including resuming
-    /// a parallel checkpoint on a different thread count.
-    #[test]
-    fn levelsync_interrupt_resume_matches_clean_run() {
-        let sys = Counter { n: 977, bad: None };
-        let clean = bfs(&sys, BfsOptions::default());
-        for cut in [5usize, 200, 800] {
-            let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
-            let r = bfs_parallel_controlled(&sys, BfsOptions::default(), 4, &ctrl, None);
-            let ControlledSearch::Interrupted { checkpoint, .. } = r else {
-                panic!("budget of {cut} must interrupt a 977-state space");
-            };
-            let resumed = bfs_parallel_controlled(
-                &sys,
-                BfsOptions::default(),
-                2,
-                &RunControl::unlimited(),
-                Some(checkpoint),
-            );
-            let ControlledSearch::Finished(r2) = resumed else {
-                panic!("unlimited resume must finish");
-            };
-            assert!(r2.is_safe(), "cut {cut}");
-            assert_eq!(r2.stats().states, clean.stats().states, "cut {cut}");
-        }
-    }
-
     /// A resumed run still finds violations, and the reconstructed path
     /// replays to the bad state.
     #[test]
@@ -1164,7 +529,7 @@ mod tests {
         else {
             panic!("expected interrupt");
         };
-        let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) = bfs_controlled(
+        let ControlledSearch::Finished(SearchResult::Unsafe(ce, stats)) = bfs_controlled(
             &sys,
             BfsOptions::default(),
             &RunControl::unlimited(),
@@ -1180,6 +545,13 @@ mod tests {
             };
         }
         assert_eq!(s, 900, "path must replay to the bad state");
+        // The checkpoint keeps the BFS queue order, so the resumed run
+        // finds the clean run's shortest counterexample at the same count.
+        let SearchResult::Unsafe(clean, clean_stats) = bfs(&sys, BfsOptions::default()) else {
+            panic!("the clean run must find the violation");
+        };
+        assert_eq!(ce.path, clean.path);
+        assert_eq!(stats.states, clean_stats.states);
     }
 
     /// Cancellation interrupts promptly and the checkpoint resumes.

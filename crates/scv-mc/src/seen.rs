@@ -1,9 +1,10 @@
 //! Striped open-addressing seen-set over 128-bit state fingerprints.
 //!
-//! The level-synchronous searcher's profile (EXPERIMENTS.md E9) showed the
-//! sharded-`HashMap` seen-set absorbing the parallelism: one mutex
-//! acquisition *per successor*, plus `HashMap`'s per-entry overhead. This
-//! table is built for the work-stealing engine's access pattern instead:
+//! The profile of the old level-synchronous searcher (EXPERIMENTS.md E9)
+//! showed a sharded-`HashMap` seen-set absorbing the parallelism: one
+//! mutex acquisition *per successor*, plus `HashMap`'s per-entry overhead.
+//! This table is built for the search core's access pattern instead
+//! (a one-worker search uses a single stripe; see [`crate::ws`]):
 //!
 //! * **Striping.** The table is split into independently locked shards,
 //!   selected by the fingerprint's high bits (the low bits index within a
@@ -124,8 +125,8 @@ fn desentinel(fp: u128) -> u128 {
 }
 
 impl StripedSeen {
-    /// Create with `shards` stripes (any count ≥ 1 works; the engine uses
-    /// a few stripes per worker).
+    /// Create with `shards` stripes (any count ≥ 1 works; the search core
+    /// uses one for a lone worker and a few per worker otherwise).
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
         StripedSeen {

@@ -6,11 +6,10 @@ use crate::canon::{self, CanonScratch, FastPlan};
 use crate::checkpoint::{CheckpointError, CheckpointFile};
 use crate::control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 use crate::mc::{
-    bfs_controlled, bfs_parallel_controlled, eager_expand, publish_search_stats, BfsOptions,
-    ControlledSearch, ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult,
-    SearchStrategy, TransitionSystem,
+    eager_expand, BfsOptions, ControlledSearch, ExpandScratch, Fingerprinter, McStats,
+    SearchCheckpoint, SearchResult, TransitionSystem,
 };
-use crate::ws::ws_search_controlled;
+use crate::ws::{ws_search_controlled, DEFAULT_BATCH};
 use scv_checker::{ScChecker, ScError};
 use scv_descriptor::Symbol;
 use scv_observer::{Observer, ObserverConfig};
@@ -409,7 +408,7 @@ struct CandSlot<PS> {
 }
 
 /// Per-worker scratch for admission-gated lazy expansion, carried by the
-/// engines inside an opaque [`ExpandScratch`]. Everything here is reused
+/// search core inside an opaque [`ExpandScratch`]. Everything here is reused
 /// across expansions: the replay slots, the symbol and encoding buffers,
 /// and the orbit-seal cache (per worker, hence lock-free).
 pub(crate) struct SealScratch<PS> {
@@ -480,7 +479,7 @@ impl<PS> SealScratch<PS> {
 /// Built plain ([`VerifySystem::new`]) or with symmetry reduction
 /// ([`VerifySystem::with_symmetry`]); the reduction canonicalizes each
 /// product state to its orbit-minimum encoding before the seen-set sees
-/// its fingerprint, in every search engine.
+/// its fingerprint, at every thread count.
 pub struct VerifySystem<P: Symmetry> {
     protocol: P,
     /// Identity-first symmetry group; empty when reduction is off or the
@@ -576,15 +575,6 @@ impl<P: Symmetry> VerifySystem<P> {
     pub fn lazy(mut self, lazy: bool) -> Self {
         self.lazy = lazy;
         self
-    }
-
-    /// Toggle admission-gated lazy materialization in place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the consuming builder `VerifySystem::lazy`"
-    )]
-    pub fn set_lazy(&mut self, lazy: bool) {
-        self.lazy = lazy;
     }
 
     /// Is lazy (admission-gated) expansion active?
@@ -797,9 +787,9 @@ where
         out
     }
 
-    // The work-stealing engine expands through this with a reused
-    // per-worker buffer, so steady-state product exploration does not
-    // allocate a successor vector per state.
+    // Checkpoint replay and the eager path expand through this with a
+    // reused buffer, so they do not allocate a successor vector per
+    // state.
     fn successors_into(&self, s: &Self::State, out: &mut Vec<(Action, Self::State)>) {
         if s.error.is_some() {
             return; // rejection is absorbing
@@ -836,7 +826,7 @@ where
 
     // The admission-gated hot path: replay each candidate transition into
     // reused scratch copies, seal only as far as a fingerprint, let the
-    // engine's `admit` probe reject duplicates, and materialize (move out
+    // search's `admit` probe reject duplicates, and materialize (move out
     // of the scratch slots + intern the encodings in one frozen chunk)
     // only what survived. In dense product graphs the majority of
     // candidates are duplicates, so the majority of clone/alloc work is
@@ -858,7 +848,7 @@ where
             return;
         }
         let Some(sc) = scratch.get_mut::<SealScratch<P::State>>() else {
-            // A foreign scratch: some engine didn't thread ours through.
+            // A foreign scratch: some caller didn't thread ours through.
             // The reference path is always correct.
             eager_expand(self, s, fper, admit, out);
             return;
@@ -1258,13 +1248,10 @@ where
 pub struct VerifyOptions {
     /// BFS limits.
     pub bfs: BfsOptions,
-    /// Worker threads (1 = sequential).
+    /// Worker threads (1 = sequential BFS).
     pub threads: usize,
-    /// Parallel engine to use when `threads > 1` (ignored otherwise).
-    pub strategy: SearchStrategy,
-    /// Work-stealing batch granularity: states per deque chunk and
-    /// fingerprints claimed per seen-set lock acquisition (ignored by the
-    /// level-synchronous engine).
+    /// Batch granularity: states per deque chunk and fingerprints claimed
+    /// per seen-set lock acquisition.
     pub batch_size: usize,
     /// Symmetry reduction: quotient the product space by the protocol's
     /// declared symmetry group.
@@ -1272,8 +1259,9 @@ pub struct VerifyOptions {
     /// Admission-gated lazy state materialization (the default). `false`
     /// selects the eager reference path: every successor is fully
     /// materialized before the seen-set probe. Consumed by
-    /// [`verify_protocol`] when it builds the system; [`verify_system`]
-    /// runs whatever the passed-in system was configured with.
+    /// [`verify_protocol`] when it builds the system;
+    /// [`VerifySystem::search`] runs whatever the system was configured
+    /// with.
     pub lazy: bool,
     /// Resource budget for the run (wall clock, admitted states, resident
     /// memory). Tripping yields [`Outcome::Inconclusive`].
@@ -1298,8 +1286,7 @@ impl Default for VerifyOptions {
         VerifyOptions {
             bfs: BfsOptions::new().max_states(200_000),
             threads: 1,
-            strategy: SearchStrategy::default(),
-            batch_size: 128,
+            batch_size: DEFAULT_BATCH,
             symmetry: SymmetryMode::Off,
             lazy: true,
             budget: Budget::unlimited(),
@@ -1342,13 +1329,8 @@ impl VerifyOptions {
         self
     }
 
-    /// Parallel engine to use when `threads > 1`.
-    pub fn strategy(mut self, s: SearchStrategy) -> Self {
-        self.strategy = s;
-        self
-    }
-
-    /// Work-stealing batch granularity.
+    /// Batch granularity (states per chunk, fingerprints per seen-set
+    /// batch).
     pub fn batch_size(mut self, n: usize) -> Self {
         self.batch_size = n;
         self
@@ -1380,7 +1362,7 @@ impl VerifyOptions {
         self
     }
 
-    /// Cancellation token the engines poll at admission boundaries.
+    /// Cancellation token the search polls at admission boundaries.
     pub fn cancel_token(mut self, t: CancelToken) -> Self {
         self.cancel = t;
         self
@@ -1472,11 +1454,10 @@ impl Outcome {
 
     /// The typed violation diagnosis, if this outcome is a violation.
     ///
-    /// Borrowing replacement for [`Outcome::message`]: no allocation, and
-    /// the caller can match on [`scv_checker::ScErrorKind`] structurally
-    /// instead of parsing text. The historical message text is
-    /// `reason.to_string()` (its `Display` is pinned by the
-    /// `options_and_reasons` test battery).
+    /// Borrows, so there is no allocation, and the caller can match on
+    /// [`scv_checker::ScErrorKind`] structurally instead of parsing text.
+    /// The message text is `reason.to_string()` (its `Display` is pinned
+    /// by the `options_and_reasons` test battery).
     pub fn reject_reason(&self) -> Option<&RejectReason> {
         match self {
             Outcome::Violation { reason, .. } => Some(reason),
@@ -1490,16 +1471,6 @@ impl Outcome {
             Outcome::Inconclusive { coverage, .. } => Some(*coverage),
             _ => None,
         }
-    }
-
-    /// The violation diagnosis rendered as the historical message text,
-    /// if this outcome is a violation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call and loses the typed reason; use `reject_reason`"
-    )]
-    pub fn message(&self) -> Option<String> {
-        self.reject_reason().map(RejectReason::to_string)
     }
 }
 
@@ -1530,7 +1501,7 @@ where
     ///    rebuild the in-memory search state — frontier states are
     ///    reconstructed by replaying their parent chains of actions from
     ///    the initial state, fingerprint-checking every step.
-    /// 2. Run the configured engine in *slices*: each slice's deadline is
+    /// 2. Run the search core in *slices*: each slice's deadline is
     ///    the earlier of the budget deadline and the next
     ///    [`VerifyOptions::checkpoint_every`] tick. A slice that ends at a
     ///    checkpoint tick serializes the paused search to
@@ -1541,7 +1512,7 @@ where
     ///    the reason and coverage counts.
     ///
     /// The resume path is exact: verdicts and state counts match an
-    /// uninterrupted run (the engines drain to a consistent point before
+    /// uninterrupted run (the search drains to a consistent point before
     /// checkpointing; see `crate::control`).
     pub fn try_search(&self, opts: &VerifyOptions) -> Result<Outcome, CheckpointError> {
         let run_start = Instant::now();
@@ -1556,7 +1527,6 @@ where
             deadline: None,
             ..opts.budget
         };
-        let is_ws = opts.threads > 1 && opts.strategy == SearchStrategy::WorkStealing;
         // Floor the tick: a zero-length slice would trip before expanding
         // anything. `effective_every` then adapts upward (doubling) any
         // time a slice makes no progress — as the seen-set grows, resume
@@ -1575,25 +1545,12 @@ where
                 ctrl = ctrl.with_deadline(Instant::now() + every);
             }
             let taken = resume.take();
-            let result = if is_ws {
-                ws_search_controlled(self, opts.bfs, opts.threads, opts.batch_size, &ctrl, taken).0
-            } else {
-                // The work-stealing engine times and publishes internally;
-                // these two do neither, so the driver does both.
-                let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-                if opts.threads > 1 {
-                    bfs_parallel_controlled(self, opts.bfs, opts.threads, &ctrl, taken)
-                } else {
-                    bfs_controlled(self, opts.bfs, &ctrl, taken)
-                }
-            };
+            let result =
+                ws_search_controlled(self, opts.bfs, opts.threads, opts.batch_size, &ctrl, taken).0;
             match result {
                 ControlledSearch::Finished(r) => {
                     let mut stats = r.stats();
                     stats.elapsed = run_start.elapsed();
-                    if !is_ws {
-                        publish_search_stats(&stats, false);
-                    }
                     return Ok(match r {
                         SearchResult::Safe(_) => Outcome::Verified { stats },
                         SearchResult::Bounded(_) => Outcome::Bounded { stats },
@@ -1638,9 +1595,6 @@ where
                         depth: stats.depth,
                     };
                     stats.elapsed = run_start.elapsed();
-                    if !is_ws {
-                        publish_search_stats(&stats, false);
-                    }
                     return Ok(Outcome::Inconclusive {
                         reason,
                         coverage,
@@ -1651,7 +1605,7 @@ where
         }
     }
 
-    /// Package an engine checkpoint into the portable file form.
+    /// Package a search checkpoint into the portable file form.
     fn checkpoint_file(
         &self,
         ck: &SearchCheckpoint<VerifyState<P::State>, Action>,
@@ -1784,19 +1738,6 @@ where
     }
 }
 
-/// Run a search over an already-built product system.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `VerifySystem::search`/`try_search`, or the root-crate `Verifier` facade"
-)]
-pub fn verify_system<P>(sys: &VerifySystem<P>, opts: VerifyOptions) -> Outcome
-where
-    P: Symmetry + Sync,
-    P::State: Send + Sync + 'static,
-{
-    sys.search(&opts)
-}
-
 /// Run the complete §3.4 method on a protocol.
 pub fn verify_protocol<P>(protocol: P, opts: VerifyOptions) -> Outcome
 where
@@ -1826,8 +1767,11 @@ mod tests {
         !matches!(out, Outcome::Violation { .. })
     }
 
+    /// Sequential BFS is deterministic, so an exhaustive proof's class
+    /// count is pinned exactly (the same figure the benchmark's `proof`
+    /// workload checks).
     #[test]
-    #[ignore = "exhaustive proof (~120k product states): run with `cargo test --release -- --ignored`"]
+    #[ignore = "exhaustive proof (~120k product states): run with `cargo test --release -p scv-mc --lib -- --ignored`"]
     fn serial_memory_2_1_1_verifies_exhaustively() {
         let out = verify_protocol(SerialMemory::new(Params::new(2, 1, 1)), opts(400_000));
         assert!(
@@ -1835,10 +1779,23 @@ mod tests {
             "serial memory must verify: {:?}",
             out.stats()
         );
-        assert!(
-            out.stats().states > 50_000,
-            "the product is genuinely large"
+        assert_eq!(out.stats().states, 121_469);
+    }
+
+    /// The full-symmetry twin of the proof above, pinned the same way.
+    #[test]
+    #[ignore = "exhaustive proof (~60k product classes): run with `cargo test --release -p scv-mc --lib -- --ignored`"]
+    fn serial_memory_2_1_1_verifies_exhaustively_under_full_symmetry() {
+        let out = verify_protocol(
+            SerialMemory::new(Params::new(2, 1, 1)),
+            opts(400_000).symmetry(SymmetryMode::Full),
         );
+        assert!(
+            out.is_verified(),
+            "serial memory must verify: {:?}",
+            out.stats()
+        );
+        assert_eq!(out.stats().states, 61_064);
     }
 
     #[test]
@@ -1923,16 +1880,14 @@ mod tests {
     #[test]
     fn parallel_agrees_with_sequential() {
         // Verdicts must agree on a violation hunt (counterexamples are
-        // found quickly in parallel too), under both parallel engines.
+        // found quickly in parallel too).
         let seq = verify_protocol(MsiProtocol::buggy(Params::new(2, 2, 1)), opts(2_000_000));
         assert!(matches!(seq, Outcome::Violation { .. }));
-        for strategy in [SearchStrategy::WorkStealing, SearchStrategy::LevelSync] {
-            let par = verify_protocol(
-                MsiProtocol::buggy(Params::new(2, 2, 1)),
-                opts(2_000_000).threads(4).strategy(strategy),
-            );
-            assert!(matches!(par, Outcome::Violation { .. }), "{strategy:?}");
-        }
+        let par = verify_protocol(
+            MsiProtocol::buggy(Params::new(2, 2, 1)),
+            opts(2_000_000).threads(4),
+        );
+        assert!(matches!(par, Outcome::Violation { .. }));
     }
 
     #[test]
@@ -2065,7 +2020,7 @@ mod tests {
         assert!(file.states >= 2_000);
 
         // Resuming finishes the run with the clean run's verdict and —
-        // for the deterministic sequential engine — its exact totals.
+        // for the deterministic one-worker search — its exact totals.
         let resumed = sys.try_search(&opts(30_000).resume_from(&path)).unwrap();
         assert!(
             matches!(resumed, Outcome::Bounded { .. }),
@@ -2074,7 +2029,7 @@ mod tests {
         );
         assert_eq!(resumed.stats().states, clean_stats.states);
 
-        // A different engine may overshoot the cap differently, but the
+        // Four workers may overshoot the cap differently, but the
         // verdict and the cap itself must hold.
         let resumed_ws = sys
             .try_search(&opts(30_000).threads(4).resume_from(&path))
@@ -2149,10 +2104,13 @@ mod tests {
     fn reject_reason_accessor_borrows_the_typed_reason() {
         let out = verify_protocol(MsiProtocol::buggy(Params::new(2, 2, 1)), opts(2_000_000));
         let reason = out.reject_reason().expect("buggy MSI violates");
-        // The borrowing accessor and the historical text agree.
-        #[allow(deprecated)]
-        let msg = out.message().unwrap();
-        assert_eq!(msg, reason.to_string());
+        // The accessor borrows the outcome's own reason, whose Display is
+        // the message text.
+        let Outcome::Violation { reason: field, .. } = &out else {
+            unreachable!("reject_reason is Some only for violations");
+        };
+        assert!(std::ptr::eq(reason, field));
+        assert!(!reason.to_string().is_empty());
         assert!(
             verify_protocol(SerialMemory::new(Params::new(2, 1, 1)), opts(5_000))
                 .reject_reason()
@@ -2161,7 +2119,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_builder_replaces_set_lazy() {
+    fn lazy_builder_toggles_the_expansion_path() {
         let sys = VerifySystem::new(SerialMemory::new(Params::new(2, 1, 1))).lazy(false);
         assert!(!sys.is_lazy());
         let sys = sys.lazy(true);

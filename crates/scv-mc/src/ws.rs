@@ -1,11 +1,13 @@
-//! Asynchronous work-stealing reachability search.
+//! The search core: asynchronous work-stealing reachability, with
+//! sequential BFS as its one-worker case.
 //!
-//! The level-synchronous parallel BFS ([`crate::mc::bfs_parallel`], kept
-//! for differential testing) pays three taxes that EXPERIMENTS.md E9
-//! measured as absorbing *all* parallelism at product-state granularity
-//! (tens of microseconds per state): a full-frontier barrier every level,
-//! one seen-set mutex acquisition per successor, and allocator traffic for
-//! every level's frontier vectors. This engine removes each:
+//! Every search in this crate runs the worker loop below:
+//! [`ws_search_controlled`] at any thread count, [`bfs_controlled`] as its
+//! one-worker shorthand, [`ws_search`] without run control, and
+//! `VerifySystem::try_search` on top of them. Admission, run control, the
+//! checkpoint drain, counterexample reconstruction and telemetry
+//! publishing therefore exist once. The loop is built for product states
+//! that cost tens of microseconds each:
 //!
 //! * **No barrier.** Work lives in fixed-size *chunks* of states on
 //!   per-worker deques. Workers pop locally from the back (LIFO — hot
@@ -22,7 +24,32 @@
 //! * **Arena-style reuse.** Each worker owns long-lived successor and
 //!   stripe buffers that are drained and reused, so steady-state
 //!   expansion does per-successor pushes into pre-grown vectors instead
-//!   of allocating fresh frontier vectors every level.
+//!   of allocating fresh frontier vectors.
+//!
+//! **One worker is sequential BFS.** Three rules, each keyed on the worker
+//! count, make a one-worker run reproduce FIFO breadth-first search state
+//! for state: the same admission order, hence the same representatives,
+//! state counts and shortest counterexamples.
+//!
+//! 1. *FIFO pops.* The lone worker takes chunks from the front of its
+//!    deque. Chunks enter in admission order, so states are expanded level
+//!    by level. More workers keep LIFO pops.
+//! 2. *One seen stripe.* Buffered successors are claimed stripe by
+//!    stripe, and which stripe a state lands in follows the random
+//!    fingerprint seeds. A single stripe makes admission order the
+//!    generation order, the same on every run.
+//! 3. *Flush after each expansion.* The lone worker claims its buffered
+//!    successors before it expands the next state, so the next sibling's
+//!    admission probe already sees them and no duplicate is materialized
+//!    only to be rejected. A violation or the state cap also stops the
+//!    search before another expansion, and run control is polled once per
+//!    expansion.
+//!
+//! The order matters for more than shortest counterexamples: canonical
+//! equality is not a congruence (DESIGN.md §6), so the number of reachable
+//! classes depends on which representative of a class is admitted first.
+//! Only a fixed order makes one-worker counts exact. With more workers the
+//! schedule is free, and counts may drift by a few percent.
 //!
 //! **Termination detection** uses a pending-chunk count plus a steal
 //! epoch: `pending` counts every chunk from the moment it is enqueued
@@ -37,28 +64,28 @@
 //! `(child-fp, parent-fp, label)` for every state *it* admitted (the
 //! seen-set admits each state exactly once, so logs never conflict), and
 //! on a violation the per-worker logs are merged and the fingerprint
-//! chain walked back to the initial state. Paths are valid runs but —
-//! unlike sequential BFS — not necessarily shortest.
+//! chain walked back to the initial state. Paths are valid runs; with one
+//! worker they are shortest, with more they need not be.
 //!
-//! **Verdict determinism.** `Safe`/`Bounded`/`Unsafe` agree with
-//! sequential BFS whenever the limits are not the deciding factor: an
-//! exhaustive search visits exactly the reachable set regardless of
-//! schedule (same `states` count), and a violation reachable within the
-//! limits is found by *some* worker before quiescence. Only searches
-//! truncated by `max_states`/`max_depth` may differ in which frontier
-//! they saw — identical to the level-synchronous engine's behaviour.
-//! `tests/parallel_mc.rs` pins this battery down across the protocol zoo.
+//! **Verdict determinism.** `Safe`/`Bounded`/`Unsafe` do not depend on
+//! the worker count whenever the limits are not the deciding factor: an
+//! exhaustive search visits every reachable class, and a violation
+//! reachable within the limits is found by *some* worker before
+//! quiescence. Only searches truncated by `max_states`/`max_depth` may
+//! differ in which frontier they saw. `tests/parallel_mc.rs` pins this
+//! battery down across the protocol zoo.
 //!
 //! **Interrupts** ([`ws_search_controlled`]): budgets and cancellation are
 //! polled at chunk and flush boundaries, never per successor. A tripped
 //! worker raises a shared interrupt byte; every worker then *drains to a
 //! consistent point* — flushes its dirty stripe buffers, hands off its
 //! output chunk, pushes the unprocessed remainder of its input chunk back
-//! onto its deque — and exits. At that point each expanded state has all
-//! successors admitted and every admitted-unexpanded state sits in some
-//! deque, so the main thread can snapshot the queues + seen-set + parent
-//! logs into a [`SearchCheckpoint`] from which a later run continues with
-//! verdict- and state-count parity.
+//! onto its deque (the lone worker puts it at the front, so its deque
+//! stays in BFS order) — and exits. At that point each expanded state has
+//! all successors admitted and every admitted-unexpanded state sits in
+//! some deque, so the main thread can snapshot the queues + seen-set +
+//! parent logs into a [`SearchCheckpoint`] from which a later run
+//! continues with verdict- and state-count parity.
 
 use crate::control::{code_to_reason, reason_to_code, RunControl};
 use crate::mc::{
@@ -70,6 +97,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// States per deque chunk and fingerprints per seen-set batch when the
+/// caller does not choose (the `VerifyOptions` default too).
+pub const DEFAULT_BATCH: usize = 128;
 
 /// Per-worker counters, exposed for benches and the soak test.
 #[derive(Clone, Copy, Debug, Default)]
@@ -106,6 +137,9 @@ struct Shared<'a, T: TransitionSystem> {
     fper: Fingerprinter,
     seen: StripedSeen,
     queues: Vec<Mutex<VecDeque<Chunk<T>>>>,
+    /// Exactly one worker: the search follows the sequential-BFS rules
+    /// (module docs).
+    solo: bool,
     /// Chunks enqueued but not yet fully expanded-and-flushed.
     pending: AtomicUsize,
     /// Bumped on every enqueue; idle workers re-scan when it moves.
@@ -126,7 +160,9 @@ struct Shared<'a, T: TransitionSystem> {
 }
 
 impl<T: TransitionSystem> Shared<'_, T> {
-    fn push_chunk(&self, worker: usize, chunk: Chunk<T>) {
+    /// Enqueue a chunk on `worker`'s deque: at the back, or at the front
+    /// when the chunk must be expanded before everything already queued.
+    fn push_chunk(&self, worker: usize, chunk: Chunk<T>, front: bool) {
         let items = chunk.len();
         self.pending.fetch_add(1, Ordering::SeqCst);
         let q = self.queued_items.fetch_add(items, Ordering::Relaxed) + items;
@@ -144,14 +180,39 @@ impl<T: TransitionSystem> Shared<'_, T> {
                 q as f64,
             );
         }
-        self.queues[worker].lock().unwrap().push_back(chunk);
+        let mut queue = self.queues[worker].lock().unwrap();
+        if front {
+            queue.push_front(chunk);
+        } else {
+            queue.push_back(chunk);
+        }
+        drop(queue);
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Pop from the back of our own deque, else steal from the front of
-    /// another worker's (round-robin sweep from our right neighbour).
+    /// Hand a worker's output chunk, if non-empty, to the back of its
+    /// deque (new work stays with its owner; distribution happens only
+    /// through steals) and leave a fresh buffer in its place.
+    fn hand_off(&self, worker: usize, out: &mut Chunk<T>) {
+        if !out.is_empty() {
+            let chunk = std::mem::replace(out, Vec::with_capacity(self.chunk_size));
+            self.push_chunk(worker, chunk, false);
+        }
+    }
+
+    /// Pop from our own deque — the back, or the front for a lone worker
+    /// (FIFO keeps it in BFS order) — else steal from the front of another
+    /// worker's (round-robin sweep from our right neighbour).
     fn obtain_chunk(&self, worker: usize, stats: &mut WorkerStats) -> Option<Chunk<T>> {
-        if let Some(chunk) = self.queues[worker].lock().unwrap().pop_back() {
+        let own = {
+            let mut queue = self.queues[worker].lock().unwrap();
+            if self.solo {
+                queue.pop_front()
+            } else {
+                queue.pop_back()
+            }
+        };
+        if let Some(chunk) = own {
             self.queued_items.fetch_sub(chunk.len(), Ordering::Relaxed);
             return Some(chunk);
         }
@@ -213,6 +274,25 @@ struct Scratch<T: TransitionSystem> {
     flag_scratch: Vec<bool>,
     out_chunk: Chunk<T>,
     parent_log: ParentLog<T::Label>,
+}
+
+/// Flush every dirty stripe buffer. Returns `false` if a flush stopped
+/// the search (violation or state cap), so the caller exits at once.
+fn flush_dirty<T: TransitionSystem>(
+    shared: &Shared<'_, T>,
+    worker: usize,
+    scratch: &mut Scratch<T>,
+    stats: &mut WorkerStats,
+) -> bool {
+    for stripe in 0..scratch.stripes.len() {
+        if !scratch.stripes[stripe].is_empty() {
+            flush_stripe(shared, worker, stripe, scratch, stats);
+            if shared.stop.load(Ordering::Relaxed) {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 fn worker_loop<T: TransitionSystem>(
@@ -284,28 +364,28 @@ fn worker_loop<T: TransitionSystem>(
                 // Drain to a consistent point: admit everything already
                 // buffered, hand off the output chunk, and put the
                 // unprocessed tail of this chunk back on our deque so the
-                // checkpoint frontier sees it.
-                for stripe in 0..scratch.stripes.len() {
-                    if !scratch.stripes[stripe].is_empty() {
-                        flush_stripe(shared, id, stripe, &mut scratch, &mut stats);
-                    }
+                // checkpoint frontier sees it. A lone worker puts the tail
+                // in front of everything it admitted, keeping BFS order.
+                if !flush_dirty(shared, id, &mut scratch, &mut stats) {
+                    break 'main;
                 }
-                if !scratch.out_chunk.is_empty() {
-                    let out = std::mem::replace(
-                        &mut scratch.out_chunk,
-                        Vec::with_capacity(shared.chunk_size),
-                    );
-                    shared.push_chunk(id, out);
-                }
+                shared.hand_off(id, &mut scratch.out_chunk);
                 let rest: Chunk<T> = chunk[idx..].to_vec();
                 if !rest.is_empty() {
-                    shared.push_chunk(id, rest);
+                    shared.push_chunk(id, rest, shared.solo);
                 }
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
                 break 'main;
             }
             let (state, fp, depth) = &chunk[idx];
             idx += 1;
+            if *depth >= shared.opts.max_depth {
+                // Visited but not expanded: the depth frontier is
+                // non-empty, so the search is Bounded. The state was
+                // queued like any other, so a checkpoint keeps it.
+                shared.depth_limited.store(true, Ordering::Relaxed);
+                continue;
+            }
             stats.expanded += 1;
             // Admission gate: batch-probe the seen-set with successor
             // fingerprints so duplicates are rejected before the system
@@ -354,24 +434,21 @@ fn worker_loop<T: TransitionSystem>(
                 }
             }
             scratch.admitted = admitted;
-        }
-        // End of chunk: flush every dirty stripe, hand off any full output
-        // chunk, and only then retire the input chunk from `pending`.
-        for stripe in 0..scratch.stripes.len() {
-            if !scratch.stripes[stripe].is_empty() {
-                flush_stripe(shared, id, stripe, &mut scratch, &mut stats);
-                if shared.stop.load(Ordering::Relaxed) {
+            if shared.solo {
+                // Rule 3: claim this expansion's successors before the
+                // next one probes.
+                if !flush_dirty(shared, id, &mut scratch, &mut stats) {
                     break 'main;
                 }
+                shared.check_trip(&mut ticks);
             }
         }
-        if !scratch.out_chunk.is_empty() {
-            let chunk = std::mem::replace(
-                &mut scratch.out_chunk,
-                Vec::with_capacity(shared.chunk_size),
-            );
-            shared.push_chunk(id, chunk);
+        // End of chunk: flush every dirty stripe, hand off any output
+        // chunk, and only then retire the input chunk from `pending`.
+        if !flush_dirty(shared, id, &mut scratch, &mut stats) {
+            break 'main;
         }
+        shared.hand_off(id, &mut scratch.out_chunk);
         shared.pending.fetch_sub(1, Ordering::SeqCst);
     }
     // Hand the worker's flight-recorder ring to the collector before the
@@ -407,7 +484,7 @@ fn flush_stripe<T: TransitionSystem>(
     }
     if scv_telemetry::recorder_enabled() {
         // `insert_batch` records the batch instant; the running total
-        // (which only this engine knows) becomes the seen-load counter.
+        // (which only the search knows) becomes the seen-load counter.
         scv_telemetry::recorder::counter(
             scv_telemetry::recorder::CounterTrack::SeenStates,
             shared.states.load(Ordering::Relaxed) as f64 + batch_new as f64,
@@ -438,23 +515,11 @@ fn flush_stripe<T: TransitionSystem>(
             shared.stop.store(true, Ordering::Relaxed);
             break;
         }
-        if pending.depth >= shared.opts.max_depth {
-            // Visited but not expanded — the depth frontier is non-empty,
-            // exactly the level-synchronous engine's Bounded condition.
-            shared.depth_limited.store(true, Ordering::Relaxed);
-            continue;
-        }
         scratch
             .out_chunk
             .push((pending.state, pending.fp, pending.depth));
         if scratch.out_chunk.len() >= shared.chunk_size {
-            // New work stays on the owner's deque (classic work-stealing:
-            // distribution happens only through steals).
-            let chunk = std::mem::replace(
-                &mut scratch.out_chunk,
-                Vec::with_capacity(shared.chunk_size),
-            );
-            shared.push_chunk(worker, chunk);
+            shared.hand_off(worker, &mut scratch.out_chunk);
         }
     }
     shared
@@ -462,31 +527,35 @@ fn flush_stripe<T: TransitionSystem>(
         .fetch_max(max_depth_seen, Ordering::Relaxed);
 }
 
-/// Work-stealing search; same contract as [`crate::mc::bfs`] /
-/// [`crate::mc::bfs_parallel`]. Returns the aggregate result plus
-/// per-worker statistics.
-pub fn ws_search_detailed<T>(
-    sys: &T,
-    opts: BfsOptions,
-    threads: usize,
-    batch: usize,
-) -> (SearchResult<T::Label, T::Violation>, Vec<WorkerStats>)
-where
-    T: TransitionSystem + Sync,
-    T::Label: Send,
-{
-    let (r, ws) = ws_search_controlled(sys, opts, threads, batch, &RunControl::unlimited(), None);
-    match r {
-        ControlledSearch::Finished(r) => (r, ws),
-        ControlledSearch::Interrupted { .. } => {
-            unreachable!("an unlimited RunControl never interrupts")
-        }
+/// Mirror a finished search's aggregates into the telemetry gauges. The
+/// counters stream during the run; the gauges describe the most recent
+/// search.
+fn publish_gauges(stats: &McStats, workers: &[WorkerStats], seen: &StripedSeen) {
+    if !scv_telemetry::enabled() {
+        return;
     }
+    use scv_telemetry::set_gauge;
+    set_gauge("mc.states", stats.states as f64);
+    set_gauge("mc.depth", stats.depth as f64);
+    set_gauge("mc.workers", stats.workers as f64);
+    set_gauge("mc.peak_frontier", stats.peak_frontier as f64);
+    set_gauge("mc.states_per_sec", stats.states_per_sec());
+    set_gauge("mc.elapsed_secs", stats.elapsed.as_secs_f64());
+    let loads = seen.stripe_loads();
+    let max = loads.iter().copied().max().unwrap_or(0);
+    let mean = loads.iter().sum::<usize>() as f64 / loads.len().max(1) as f64;
+    set_gauge("seen.stripes", loads.len() as f64);
+    set_gauge("seen.stripe_load_max", max as f64);
+    set_gauge("seen.stripe_load_mean", mean);
+    let idle: usize = workers.iter().map(|w| w.idle_spins).sum();
+    set_gauge("mc.idle_spins", idle as f64);
 }
 
-/// Work-stealing search under a [`RunControl`], optionally resuming a
-/// prior [`SearchCheckpoint`]; see the module docs for the interrupt
-/// drain protocol.
+/// The search core under a [`RunControl`], optionally resuming a prior
+/// [`SearchCheckpoint`]. `threads` workers share one seen-set; with one
+/// worker this is sequential BFS (module docs). `batch` is the number of
+/// states per deque chunk and of fingerprints per seen-set batch. See the
+/// module docs for the interrupt drain protocol.
 #[allow(clippy::type_complexity)]
 pub fn ws_search_controlled<T>(
     sys: &T,
@@ -519,9 +588,15 @@ where
         sys,
         opts,
         ctrl,
-        seen: StripedSeen::new((threads * 4).max(16)),
+        // Rule 2 (module docs): a lone worker claims through one stripe.
+        seen: StripedSeen::new(if threads == 1 {
+            1
+        } else {
+            (threads * 4).max(16)
+        }),
         fper,
         queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+        solo: threads == 1,
         pending: AtomicUsize::new(0),
         epoch: AtomicU64::new(0),
         stop: AtomicBool::new(false),
@@ -551,13 +626,14 @@ where
             base_transitions = ck.transitions;
             base_parents = ck.parents;
             // Re-chunk the saved frontier round-robin across the deques so
-            // every worker starts with local work.
+            // every worker starts with local work (a lone worker gets it
+            // all, in order).
             let mut w = 0usize;
             let mut frontier = ck.frontier;
             while !frontier.is_empty() {
                 let take = frontier.len().min(batch);
                 let chunk: Chunk<T> = frontier.drain(..take).collect();
-                shared.push_chunk(w % threads, chunk);
+                shared.push_chunk(w % threads, chunk, false);
                 w += 1;
             }
         }
@@ -584,26 +660,7 @@ where
             init_fp = shared.fper.fp(&init);
             shared.seen.insert(init_fp);
             shared.states.store(1, Ordering::Relaxed);
-            if opts.max_depth == 0 {
-                // Nothing may be expanded; mirror the level-synchronous verdict.
-                let has_succs = !sys.successors(&init).is_empty();
-                let stats = McStats {
-                    states: 1,
-                    workers: threads,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                };
-                let result = if has_succs {
-                    SearchResult::Bounded(stats)
-                } else {
-                    SearchResult::Safe(stats)
-                };
-                return (
-                    ControlledSearch::Finished(result),
-                    vec![WorkerStats::default(); threads],
-                );
-            }
-            shared.push_chunk(0, vec![(init, init_fp, 0usize)]);
+            shared.push_chunk(0, vec![(init, init_fp, 0usize)], false);
         }
     }
 
@@ -636,17 +693,7 @@ where
         worker_stats.push(*ws);
     }
     stats.elapsed = start.elapsed();
-    crate::mc::publish_search_stats(&stats, true);
-    if scv_telemetry::enabled() {
-        let loads = shared.seen.stripe_loads();
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let mean = loads.iter().sum::<usize>() as f64 / loads.len().max(1) as f64;
-        scv_telemetry::set_gauge("seen.stripes", loads.len() as f64);
-        scv_telemetry::set_gauge("seen.stripe_load_max", max as f64);
-        scv_telemetry::set_gauge("seen.stripe_load_mean", mean);
-        let idle: usize = worker_stats.iter().map(|w| w.idle_spins).sum();
-        scv_telemetry::set_gauge("mc.idle_spins", idle as f64);
-    }
+    publish_gauges(&stats, &worker_stats, &shared.seen);
 
     // Priority: a found violation or an exceeded scope limit outranks an
     // interrupt — those are real verdicts, the interrupt is only "stopped
@@ -724,18 +771,39 @@ where
     )
 }
 
-/// Work-stealing search (aggregate-stats entry point).
+/// Sequential BFS under a [`RunControl`], optionally resuming a prior
+/// [`SearchCheckpoint`]: the core with one worker. Exploration order,
+/// state counts and counterexamples are those of FIFO breadth-first
+/// search, so counterexamples are shortest.
+pub fn bfs_controlled<T>(
+    sys: &T,
+    opts: BfsOptions,
+    ctrl: &RunControl,
+    resume: Option<SearchCheckpoint<T::State, T::Label>>,
+) -> ControlledSearch<T::State, T::Label, T::Violation>
+where
+    T: TransitionSystem + Sync,
+{
+    ws_search_controlled(sys, opts, 1, DEFAULT_BATCH, ctrl, resume).0
+}
+
+/// The search core without run control. Returns the result plus
+/// per-worker statistics.
 pub fn ws_search<T>(
     sys: &T,
     opts: BfsOptions,
     threads: usize,
     batch: usize,
-) -> SearchResult<T::Label, T::Violation>
+) -> (SearchResult<T::Label, T::Violation>, Vec<WorkerStats>)
 where
     T: TransitionSystem + Sync,
-    T::Label: Send,
 {
-    ws_search_detailed(sys, opts, threads, batch).0
+    match ws_search_controlled(sys, opts, threads, batch, &RunControl::unlimited(), None) {
+        (ControlledSearch::Finished(r), workers) => (r, workers),
+        (ControlledSearch::Interrupted { .. }, _) => {
+            unreachable!("an unlimited RunControl never interrupts")
+        }
+    }
 }
 
 #[cfg(test)]
@@ -781,11 +849,64 @@ mod tests {
     fn exhaustive_search_agrees_with_bfs() {
         let sys = Counter { n: 977, bad: None };
         for threads in [1, 2, 4] {
-            let (r, ws) = ws_search_detailed(&sys, BfsOptions::default(), threads, 8);
+            let (r, ws) = ws_search(&sys, BfsOptions::default(), threads, 8);
             assert!(r.is_safe(), "threads={threads}");
             assert_eq!(r.stats().states, 977, "threads={threads}");
             let expanded: usize = ws.iter().map(|w| w.expanded).sum();
             assert_eq!(expanded, 977, "every admitted state is expanded");
+        }
+    }
+
+    /// The textbook FIFO breadth-first search the one-worker core must
+    /// reproduce: admission in successor order, violation checked on
+    /// admission. Returns the state count and, if a violation is reached,
+    /// the label path to it.
+    fn reference_bfs(sys: &Counter) -> (usize, Option<Vec<&'static str>>) {
+        let mut parent: HashMap<u32, Option<(u32, &'static str)>> = HashMap::new();
+        let mut queue = VecDeque::from([0u32]);
+        parent.insert(0, None);
+        while let Some(s) = queue.pop_front() {
+            for (label, t) in sys.successors(&s) {
+                if parent.contains_key(&t) {
+                    continue;
+                }
+                parent.insert(t, Some((s, label)));
+                if sys.violation(&t).is_some() {
+                    let mut path = Vec::new();
+                    let mut at = t;
+                    while let Some(Some((p, l))) = parent.get(&at) {
+                        path.push(*l);
+                        at = *p;
+                    }
+                    path.reverse();
+                    return (parent.len(), Some(path));
+                }
+                queue.push_back(t);
+            }
+        }
+        (parent.len(), None)
+    }
+
+    /// One worker is sequential BFS state for state: the same state count
+    /// at the violation and the same shortest path, whatever the chunk
+    /// size.
+    #[test]
+    fn one_worker_is_fifo_bfs() {
+        for bad in [5u32, 123, 500, 976] {
+            let sys = Counter {
+                n: 977,
+                bad: Some(bad),
+            };
+            let (want_states, want_path) = reference_bfs(&sys);
+            for batch in [1usize, 3, 8, 128] {
+                let (r, workers) = ws_search(&sys, BfsOptions::default(), 1, batch);
+                let SearchResult::Unsafe(ce, stats) = r else {
+                    panic!("bad={bad} batch={batch}: expected Unsafe, got {r:?}");
+                };
+                assert_eq!(Some(ce.path), want_path, "bad={bad} batch={batch}");
+                assert_eq!(stats.states, want_states, "bad={bad} batch={batch}");
+                assert_eq!(workers[0].steals, 0);
+            }
         }
     }
 
@@ -796,7 +917,7 @@ mod tests {
             bad: Some(123),
         };
         for threads in [1, 2, 4] {
-            match ws_search(&sys, BfsOptions::default(), threads, 4) {
+            match ws_search(&sys, BfsOptions::default(), threads, 4).0 {
                 SearchResult::Unsafe(ce, _) => {
                     assert_eq!(replay(&ce.path, 977), 123, "threads={threads}");
                 }
@@ -811,7 +932,7 @@ mod tests {
             n: 10,
             bad: Some(0),
         };
-        match ws_search(&sys, BfsOptions::default(), 2, 8) {
+        match ws_search(&sys, BfsOptions::default(), 2, 8).0 {
             SearchResult::Unsafe(ce, _) => assert!(ce.path.is_empty()),
             r => panic!("expected Unsafe, got {r:?}"),
         }
@@ -823,7 +944,7 @@ mod tests {
             n: 100_000,
             bad: None,
         };
-        let r = ws_search(&sys, BfsOptions::new().max_states(50), 2, 4);
+        let r = ws_search(&sys, BfsOptions::new().max_states(50), 2, 4).0;
         assert!(matches!(r, SearchResult::Bounded(_)), "{r:?}");
     }
 
@@ -835,14 +956,16 @@ mod tests {
             BfsOptions::new().max_states(usize::MAX).max_depth(3),
             2,
             4,
-        );
+        )
+        .0;
         assert!(matches!(r, SearchResult::Bounded(_)), "{r:?}");
         let r = ws_search(
             &sys,
             BfsOptions::new().max_states(usize::MAX).max_depth(0),
             2,
             4,
-        );
+        )
+        .0;
         assert!(matches!(r, SearchResult::Bounded(_)), "{r:?}");
     }
 
@@ -853,7 +976,7 @@ mod tests {
             n: 977,
             bad: Some(981),
         };
-        let r = ws_search(&sys, BfsOptions::default(), 3, 16);
+        let r = ws_search(&sys, BfsOptions::default(), 3, 16).0;
         assert!(r.is_safe());
     }
 
@@ -863,7 +986,7 @@ mod tests {
     #[test]
     fn interrupt_resume_matches_clean_run() {
         let sys = Counter { n: 977, bad: None };
-        let clean = ws_search(&sys, BfsOptions::default(), 4, 8);
+        let (clean, _) = ws_search(&sys, BfsOptions::default(), 4, 8);
         assert_eq!(clean.stats().states, 977);
         for threads in [1usize, 4] {
             for cut in [2usize, 50, 400, 900] {
@@ -932,6 +1055,45 @@ mod tests {
             955,
             "path must replay to the bad state"
         );
+    }
+
+    /// A depth-bounded search interrupted before it reaches the depth
+    /// limit, or after, still resumes to `Bounded` with the clean count:
+    /// states admitted at the limit are queued, so the checkpoint keeps
+    /// them.
+    #[test]
+    fn depth_limited_resume_stays_bounded() {
+        let sys = Counter { n: 1000, bad: None };
+        let opts = BfsOptions::new().max_states(usize::MAX).max_depth(3);
+        // Depths 0..=3 hold {0}, {1}, {2}, {3, 4}.
+        let (clean, _) = ws_search(&sys, opts, 1, 8);
+        assert!(matches!(clean, SearchResult::Bounded(_)), "{clean:?}");
+        assert_eq!(clean.stats().states, 5);
+        for threads in [1usize, 2] {
+            for cut in [2usize, 3, 5] {
+                let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
+                let (r, _) = ws_search_controlled(&sys, opts, threads, 8, &ctrl, None);
+                let ControlledSearch::Interrupted { checkpoint, .. } = r else {
+                    panic!("budget {cut} must interrupt (threads={threads}): {r:?}");
+                };
+                let (resumed, _) = ws_search_controlled(
+                    &sys,
+                    opts,
+                    threads,
+                    8,
+                    &RunControl::unlimited(),
+                    Some(checkpoint),
+                );
+                let ControlledSearch::Finished(r2) = resumed else {
+                    panic!("unlimited resume must finish");
+                };
+                assert!(
+                    matches!(r2, SearchResult::Bounded(_)),
+                    "threads={threads} cut={cut}: {r2:?}"
+                );
+                assert_eq!(r2.stats().states, 5, "threads={threads} cut={cut}");
+            }
+        }
     }
 
     /// A pre-cancelled token interrupts before any expansion and the

@@ -17,13 +17,14 @@ use std::sync::Mutex;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// States admitted into the seen-set (all search engines).
+    /// States admitted into the seen-set, counted live (the initial
+    /// state is never admitted, so a finished search reports states - 1).
     McStatesAdmitted,
     /// Transitions explored (successor edges generated).
     McTransitions,
     /// States expanded (successor generation calls).
     McStatesExpanded,
-    /// Successful chunk steals (work-stealing engine).
+    /// Successful chunk steals (0 with one worker).
     McSteals,
     /// Seen-set lock acquisitions, i.e. batch inserts.
     McSeenBatches,

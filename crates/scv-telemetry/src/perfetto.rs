@@ -12,8 +12,8 @@
 //!   Perfetto as line charts above the thread tracks.
 //!
 //! Timestamps are microseconds since session start (the format's native
-//! unit). Timelines sharing a label (e.g. level-sync workers respawned
-//! per level) are merged onto one track. Because rings drop their oldest
+//! unit). Timelines sharing a label (e.g. workers of successive searches
+//! or checkpoint slices) are merged onto one track. Because rings drop their oldest
 //! events, a wrapped ring can expose `"E"` events whose `"B"` was
 //! dropped; those orphans are filtered per track so viewers never see an
 //! unbalanced stack.

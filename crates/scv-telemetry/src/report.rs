@@ -20,7 +20,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 pub struct RunReport {
     /// Report name (protocol, experiment id, …) — the diff join key.
     pub name: String,
-    /// Static parameters (`threads`, `strategy`, protocol sizes, …).
+    /// Static parameters (`threads`, `batch`, protocol sizes, …).
     pub params: Vec<(String, String)>,
     /// Outcome label (`verified`, `violation`, `bounded`, `ok`, …).
     pub verdict: String,
@@ -231,7 +231,7 @@ mod tests {
     fn sample() -> RunReport {
         RunReport::new("msi")
             .param("threads", 4)
-            .param("strategy", "ws")
+            .param("batch", 128)
             .with_verdict("bounded")
             .metric("mc.states_admitted", 60_000.0)
             .metric("search.total_ns", 1.25e9)

@@ -94,9 +94,9 @@ pub enum Event {
         /// Instant argument or counter value (0 for span records).
         value: f64,
     },
-    /// Free-form scoped key/value numbers (probe binaries).
+    /// Free-form scoped key/value numbers (ad-hoc measurement binaries).
     Kv {
-        /// Dotted scope, e.g. `probe_diag.depth.3`.
+        /// Dotted scope, e.g. `frontier.depth.3`.
         scope: String,
         /// `(name, value)` pairs.
         items: Vec<(String, f64)>,

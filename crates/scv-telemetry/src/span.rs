@@ -30,8 +30,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// A whole reachability search (sequential, level-sync, or
-    /// work-stealing).
+    /// A whole reachability search (any worker count).
     Search,
     /// One successor-expansion call on a product state.
     Expand,

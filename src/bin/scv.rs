@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scv verify <protocol> [-p N] [-b N] [-v N] [--threads N] [--max-states N]
-//!                       [--strategy ws|level-sync] [--batch N]
+//!                       [--batch N]
 //!                       [--symmetry off|proc|full|full-enum] [--expand lazy|eager]
 //!                       [--timeout SECS] [--checkpoint PATH]
 //!                       [--checkpoint-every SECS] [--resume PATH]
@@ -54,7 +54,6 @@ struct Args {
     v: u8,
     threads: usize,
     max_states: usize,
-    strategy: SearchStrategy,
     batch: usize,
     symmetry: SymmetryMode,
     lazy: bool,
@@ -77,8 +76,7 @@ impl Args {
             v: 2,
             threads: 1,
             max_states: 2_000_000,
-            strategy: SearchStrategy::default(),
-            batch: 128,
+            batch: sc_verify::mc::DEFAULT_BATCH,
             symmetry: SymmetryMode::default(),
             lazy: true,
             steps: 100,
@@ -106,16 +104,6 @@ impl Args {
                 "--threads" => a.threads = val("--threads")? as usize,
                 "--max-states" => a.max_states = val("--max-states")? as usize,
                 "--batch" => a.batch = val("--batch")? as usize,
-                "--strategy" => {
-                    let v = it.next().ok_or("--strategy needs a value".to_string())?;
-                    a.strategy = match v.as_str() {
-                        "ws" | "work-stealing" => SearchStrategy::WorkStealing,
-                        "level-sync" | "levelsync" => SearchStrategy::LevelSync,
-                        other => {
-                            return Err(format!("unknown strategy `{other}` (ws | level-sync)"))
-                        }
-                    };
-                }
                 "--steps" => a.steps = val("--steps")? as usize,
                 "--seed" => a.seed = val("--seed")?,
                 "--progress" => a.progress = true,
@@ -216,7 +204,6 @@ impl Args {
         let mut o = VerifyOptions::new()
             .max_states(self.max_states)
             .threads(self.threads)
-            .strategy(self.strategy)
             .batch_size(self.batch)
             .symmetry(self.symmetry)
             .lazy(self.lazy);
@@ -538,14 +525,13 @@ fn run(argv: &[String]) -> ExitCode {
     match cmd.as_str() {
         "verify" => dispatch!(proto_name, args.params(), |p| {
             println!(
-                "verifying {} (p={}, b={}, v={}, L={}) with {} thread(s) [{:?}], cap {} states…",
+                "verifying {} (p={}, b={}, v={}, L={}) with {} thread(s), cap {} states…",
                 p.name(),
                 args.p,
                 args.b,
                 args.v,
                 p.locations(),
                 args.threads,
-                args.strategy,
                 args.max_states
             );
             if telemetry::enabled() {
@@ -556,7 +542,6 @@ fn run(argv: &[String]) -> ExitCode {
                         ("b".into(), args.b.to_string()),
                         ("v".into(), args.v.to_string()),
                         ("threads".into(), args.threads.to_string()),
-                        ("strategy".into(), format!("{:?}", args.strategy)),
                         ("max_states".into(), args.max_states.to_string()),
                         ("symmetry".into(), format!("{:?}", args.symmetry)),
                         (

@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use scv_mc::{
         verify_protocol, BfsOptions, Budget, CancelToken, Coverage, InterruptReason, McStats,
-        Outcome, RejectReason, SearchStrategy, SymmetryMode, VerifyOptions, VerifySystem,
+        Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifySystem,
     };
     pub use scv_observer::{observer_size_bound, Observer, ObserverConfig};
     pub use scv_protocol::{

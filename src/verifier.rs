@@ -21,8 +21,7 @@
 //! ```
 
 use scv_mc::{
-    Budget, CancelToken, CheckpointError, Outcome, SearchStrategy, SymmetryMode, VerifyOptions,
-    VerifySystem,
+    Budget, CancelToken, CheckpointError, Outcome, SymmetryMode, VerifyOptions, VerifySystem,
 };
 use scv_protocol::Symmetry;
 use std::path::PathBuf;
@@ -92,13 +91,8 @@ where
         self
     }
 
-    /// Parallel engine used when `threads > 1`.
-    pub fn strategy(mut self, s: SearchStrategy) -> Self {
-        self.options = self.options.strategy(s);
-        self
-    }
-
-    /// Work-stealing batch granularity.
+    /// Batch granularity (states per chunk, fingerprints per seen-set
+    /// batch).
     pub fn batch_size(mut self, n: usize) -> Self {
         self.options = self.options.batch_size(n);
         self
@@ -192,7 +186,6 @@ where
                 .param("b", params.b.to_string())
                 .param("v", params.v.to_string())
                 .param("threads", self.options.threads.to_string())
-                .param("strategy", format!("{:?}", self.options.strategy))
                 .param("batch", self.options.batch_size.to_string())
                 .param("max_states", self.options.bfs.max_states.to_string())
                 .param("symmetry", format!("{:?}", self.options.symmetry))

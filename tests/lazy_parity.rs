@@ -8,41 +8,27 @@
 //! identical* — the gate is a memory/throughput optimization, never a
 //! semantic one:
 //!
-//! * same verdict variant on every engine, thread count, and symmetry
-//!   mode — never a missed violation, never a spurious one;
+//! * same verdict variant on every thread count and symmetry mode —
+//!   never a missed violation, never a spurious one;
 //! * identical explored-state and transition counts whenever the search
-//!   is deterministic (sequential, or exhaustive on any engine);
+//!   is deterministic (one worker);
 //! * every lazy-mode counterexample is a genuine run of the unreduced
 //!   protocol that independently fails the §5 online monitor, and the
-//!   sequential engines produce the *same* counterexample either way.
+//!   sequential search produces the *same* counterexample either way.
 
 use sc_verify::prelude::*;
 use sc_verify::testing::{MonitorStep, RunMonitor};
 
-/// Engine/thread configurations: sequential (threads = 1 routes every
-/// strategy to the in-process BFS), asynchronous work-stealing, and
-/// level-synchronous BFS.
-fn engines() -> [(usize, SearchStrategy); 3] {
-    [
-        (1, SearchStrategy::WorkStealing),
-        (4, SearchStrategy::WorkStealing),
-        (4, SearchStrategy::LevelSync),
-    ]
-}
+/// Thread counts: one worker (sequential BFS) and four (asynchronous
+/// work-stealing).
+const THREADS: [usize; 2] = [1, 4];
 
 const SYMS: [SymmetryMode; 3] = [SymmetryMode::Off, SymmetryMode::Proc, SymmetryMode::Full];
 
-fn opts(
-    max_states: usize,
-    threads: usize,
-    strategy: SearchStrategy,
-    sym: SymmetryMode,
-    lazy: bool,
-) -> VerifyOptions {
+fn opts(max_states: usize, threads: usize, sym: SymmetryMode, lazy: bool) -> VerifyOptions {
     VerifyOptions::new()
         .max_states(max_states)
         .threads(threads)
-        .strategy(strategy)
         .symmetry(sym)
         .lazy(lazy)
 }
@@ -58,25 +44,20 @@ fn verdict(out: &Outcome) -> &'static str {
 }
 
 /// Run the same search through both expansion paths.
-fn both<P>(
-    p: &P,
-    max_states: usize,
-    threads: usize,
-    strategy: SearchStrategy,
-    sym: SymmetryMode,
-) -> (Outcome, Outcome)
+fn both<P>(p: &P, max_states: usize, threads: usize, sym: SymmetryMode) -> (Outcome, Outcome)
 where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    let eager = verify_protocol(p.clone(), opts(max_states, threads, strategy, sym, false));
-    let lazy = verify_protocol(p.clone(), opts(max_states, threads, strategy, sym, true));
+    let eager = verify_protocol(p.clone(), opts(max_states, threads, sym, false));
+    let lazy = verify_protocol(p.clone(), opts(max_states, threads, sym, true));
     (eager, lazy)
 }
 
 /// Exhaustive searches terminate with the full (quotient) space explored:
-/// both modes must prove SC on every engine, and on the deterministic
-/// sequential engine states *and* transitions must match exactly — any
+/// both modes must prove SC at every thread count, and on the
+/// deterministic sequential search states *and* transitions must match
+/// exactly — any
 /// admission-gate fingerprint that disagreed with the materialized
 /// state's identity would show up as a count divergence here.
 #[test]
@@ -87,9 +68,9 @@ fn exhaustive_parity_every_engine_and_symmetry() {
         P::State: Send + Sync + 'static,
     {
         for &sym in syms {
-            for (threads, strategy) in engines() {
-                let (eager, lazy) = both(p, 500_000, threads, strategy, sym);
-                let tag = format!("{name} threads={threads} {strategy:?} {sym:?}");
+            for threads in THREADS {
+                let (eager, lazy) = both(p, 500_000, threads, sym);
+                let tag = format!("{name} threads={threads} {sym:?}");
                 assert_eq!(
                     verdict(&eager),
                     "Verified",
@@ -98,7 +79,7 @@ fn exhaustive_parity_every_engine_and_symmetry() {
                 );
                 assert_eq!(verdict(&lazy), "Verified", "{tag}: lazy {:?}", lazy.stats());
                 if threads == 1 {
-                    // The sequential engine is deterministic: the counts
+                    // Sequential search is deterministic: the counts
                     // are the quotient space, exactly.
                     assert_eq!(
                         (eager.stats().states, eager.stats().transitions),
@@ -106,7 +87,7 @@ fn exhaustive_parity_every_engine_and_symmetry() {
                         "{tag}: lazy/eager count divergence"
                     );
                 } else {
-                    // Both parallel engines' expansion accounting is
+                    // Multi-worker expansion accounting is
                     // schedule-dependent (a state claimed by two racing
                     // batches is counted by both), in either mode. The
                     // drift grows when the machine is oversubscribed —
@@ -144,7 +125,7 @@ fn bounded_sequential_count_parity() {
         P::State: Send + Sync + 'static,
     {
         for sym in SYMS {
-            let (eager, lazy) = both(p, 4_000, 1, SearchStrategy::WorkStealing, sym);
+            let (eager, lazy) = both(p, 4_000, 1, sym);
             assert_eq!(verdict(&eager), "Bounded", "{name} {sym:?}");
             assert_eq!(verdict(&lazy), "Bounded", "{name} {sym:?}");
             assert_eq!(
@@ -192,8 +173,8 @@ fn replay_flags_violation<P: Protocol + Clone>(p: &P, run: &[Action]) {
 }
 
 /// Violating protocols: the gate must never eat the violation. Every
-/// engine finds it in both modes, the lazy counterexample replays
-/// through the online monitor, and the deterministic sequential engine
+/// thread count finds it in both modes, the lazy counterexample replays
+/// through the online monitor, and the deterministic sequential search
 /// produces the *identical* run either way.
 #[test]
 fn violation_parity_and_counterexample_replay() {
@@ -201,9 +182,9 @@ fn violation_parity_and_counterexample_replay() {
     // The buggy variant opts out of processor symmetry; Off and Full are
     // the meaningful quotient modes for it.
     for sym in [SymmetryMode::Off, SymmetryMode::Full] {
-        for (threads, strategy) in engines() {
-            let (eager, lazy) = both(&buggy, 2_000_000, threads, strategy, sym);
-            let tag = format!("threads={threads} {strategy:?} {sym:?}");
+        for threads in THREADS {
+            let (eager, lazy) = both(&buggy, 2_000_000, threads, sym);
+            let tag = format!("threads={threads} {sym:?}");
             let Outcome::Violation { run: lazy_run, .. } = &lazy else {
                 panic!("{tag}: lazy expected Violation, got {:?}", lazy.stats());
             };

@@ -1,12 +1,10 @@
 //! Deterministic-search battery for the parallel model checker.
 //!
 //! Every protocol in the zoo is verified under every thread count in
-//! {1, 2, 4, 8} and under both parallel engines (the default asynchronous
-//! work-stealing search and the legacy level-synchronous BFS, kept
-//! exactly for this differential test). The checked invariant is
-//! *verdict-variant determinism*: whenever the search limits are not the
-//! deciding factor, every schedule must produce the same `Outcome`
-//! variant —
+//! {1, 2, 4, 8} of the one search core (one worker is sequential BFS).
+//! The checked invariant is *verdict-variant determinism*: whenever the
+//! search limits are not the deciding factor, every schedule must produce
+//! the same `Outcome` variant —
 //!
 //! * safe protocols capped far below their product size: always
 //!   `Bounded` (never a spurious `Violation`);
@@ -14,9 +12,10 @@
 //!   `Violation` (never a missed bug);
 //! * exhaustive searches (the `SCV_STRESS=1`-gated release-mode tests):
 //!   always
-//!   `Verified`, with the per-engine conservation laws holding exactly
-//!   (Σ expanded == states, Σ admitted + 1 == states) and every engine's
-//!   reachable-class count within a small tolerance of sequential BFS's.
+//!   `Verified`, with the scheduler's conservation laws holding exactly
+//!   (Σ expanded == states, Σ admitted + 1 == states) and every thread
+//!   count's reachable-class count within a small tolerance of sequential
+//!   BFS's.
 //!
 //! Why a tolerance and not exact equality: product states are deduplicated
 //! by canonical encoding, and that equality is deliberately *not a
@@ -29,34 +28,25 @@
 //! percent. The verdict is unaffected — every representative of a
 //! violating class still violates.
 //!
-//! Every counterexample any engine produces is independently validated by
-//! replaying it through [`sc_verify::testing::RunMonitor`] — the paper's
-//! §5 online monitor, a codepath entirely separate from the model
-//! checker's product construction. Work-stealing counterexamples are not
-//! necessarily shortest (asynchronous order), but they must still replay
-//! to a genuine violation.
+//! Every counterexample any thread count produces is independently
+//! validated by replaying it through [`sc_verify::testing::RunMonitor`] —
+//! the paper's §5 online monitor, a codepath entirely separate from the
+//! model checker's product construction. Multi-worker counterexamples are
+//! not necessarily shortest (asynchronous order), but they must still
+//! replay to a genuine violation.
 
 use sc_verify::prelude::*;
 use sc_verify::testing::{MonitorStep, RunMonitor};
 
-/// The full (threads, strategy) matrix. At `threads == 1` both strategies
-/// collapse to the sequential searcher, so it appears once.
-fn matrix() -> Vec<(usize, SearchStrategy)> {
-    let mut m = vec![(1, SearchStrategy::WorkStealing)];
-    for threads in [2usize, 4, 8] {
-        m.push((threads, SearchStrategy::WorkStealing));
-        m.push((threads, SearchStrategy::LevelSync));
-    }
-    m
-}
+/// The thread counts every protocol runs under; 1 is sequential BFS.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn opts(max_states: usize, threads: usize, strategy: SearchStrategy) -> VerifyOptions {
+fn opts(max_states: usize, threads: usize) -> VerifyOptions {
     // Small batches so even modest searches exercise chunk hand-off
     // and stealing, not just one worker draining one chunk.
     VerifyOptions::new()
         .max_states(max_states)
         .threads(threads)
-        .strategy(strategy)
         .batch_size(32)
 }
 
@@ -103,12 +93,12 @@ where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    for (threads, strategy) in matrix() {
-        let out = verify_protocol(p.clone(), opts(max_states, threads, strategy));
+    for threads in THREADS {
+        let out = verify_protocol(p.clone(), opts(max_states, threads));
         assert_eq!(
             verdict(&out),
             expected,
-            "threads={threads} strategy={strategy:?}: {:?}",
+            "threads={threads}: {:?}",
             out.stats()
         );
         if let Outcome::Violation { run, reason, .. } = &out {
@@ -121,8 +111,8 @@ where
     }
 }
 
-// ---- Safe protocols: capped far below the product size, every engine
-// ---- must report Bounded and never a spurious violation.
+// ---- Safe protocols: capped far below the product size, every thread
+// ---- count must report Bounded and never a spurious violation.
 
 #[test]
 fn serial_memory_bounded_on_all_engines() {
@@ -157,7 +147,7 @@ fn lazy_caching_bounded_on_all_engines() {
     );
 }
 
-// ---- Protocols with reachable violations: every engine must find one
+// ---- Protocols with reachable violations: every thread count must find one
 // ---- (asynchronous schedules included), and each counterexample must
 // ---- replay to a genuine monitor failure.
 
@@ -198,12 +188,12 @@ fn fig4_rejected_on_all_engines() {
 }
 
 // ---- Exhaustive differential test (release-mode; ~120k-state product
-// ---- searched 7 times): all engines must agree on Verified, hold their
-// ---- internal conservation laws exactly, and land within a small
+// ---- searched 5 times): every thread count must agree on Verified, hold
+// ---- the scheduler's conservation laws exactly, and land within a small
 // ---- tolerance of the sequential reachable-class count (see the module
 // ---- docs for why exact equality is not the right spec).
 
-/// Maximum relative drift allowed between an asynchronous engine's
+/// Maximum relative drift allowed between a multi-worker search's
 /// reachable-class count and sequential BFS's. Measured drift on the
 /// SerialMemory(2,1,1) product is ~1–3%; 5% gives headroom without
 /// letting a real admission bug (which perturbs counts wildly or trips
@@ -233,14 +223,14 @@ fn stress_enabled() -> bool {
 }
 
 /// Scheduler-statistics invariants under load, checked straight against
-/// the work-stealing engine's per-worker counters.
+/// the search core's per-worker counters.
 #[test]
 fn stress_work_stealing_stats_invariants() {
     if !stress_enabled() {
         eprintln!("skipping multi-million-state stress search; enable with SCV_STRESS=1");
         return;
     }
-    use sc_verify::mc::{bfs, ws_search_detailed, BfsOptions, SearchResult, VerifySystem};
+    use sc_verify::mc::{ws_search, BfsOptions, SearchResult, VerifySystem};
 
     // Part 1 — exhaustive search (no limit is hit), where the strict
     // conservation laws must hold: every admitted state is expanded
@@ -251,7 +241,7 @@ fn stress_work_stealing_stats_invariants() {
     // differently (module docs).
     let product = || VerifySystem::new(SerialMemory::new(Params::new(2, 1, 1)));
     let unbounded = BfsOptions::new().max_states(10_000_000);
-    let seq_states = match bfs(&product(), unbounded) {
+    let seq_states = match ws_search(&product(), unbounded, 1, 64).0 {
         SearchResult::Safe(stats) => stats.states,
         r => panic!("sequential search must be exhaustive, got {:?}", r.stats()),
     };
@@ -260,7 +250,7 @@ fn stress_work_stealing_stats_invariants() {
         "product unexpectedly small: {seq_states}"
     );
     for threads in [2usize, 4] {
-        let (result, workers) = ws_search_detailed(&product(), unbounded, threads, 64);
+        let (result, workers) = ws_search(&product(), unbounded, threads, 64);
         let stats = match result {
             SearchResult::Safe(stats) => stats,
             r => panic!("threads={threads}: expected Safe, got {:?}", r.stats()),
@@ -295,7 +285,7 @@ fn stress_work_stealing_stats_invariants() {
     // must stay coherent under sustained load.
     let big = VerifySystem::new(MsiProtocol::new(Params::new(2, 1, 2)));
     let capped = BfsOptions::new().max_states(2_000_000);
-    let (result, workers) = ws_search_detailed(&big, capped, 4, 128);
+    let (result, workers) = ws_search(&big, capped, 4, 128);
     let stats = match result {
         SearchResult::Bounded(stats) => stats,
         SearchResult::Safe(stats) => stats, // in case the product fits after all
@@ -328,24 +318,16 @@ fn exhaustive_serial_memory_engines_agree() {
         return;
     }
     let p = SerialMemory::new(Params::new(2, 1, 1));
-    // threads == 1 collapses to the sequential FIFO searcher, whose
-    // representative choice — and therefore class count — is
-    // deterministic. It anchors the tolerance band for every schedule.
-    let reference = verify_protocol(p.clone(), opts(400_000, 1, SearchStrategy::WorkStealing));
+    // threads == 1 is sequential FIFO BFS, whose representative choice
+    // — and therefore class count — is deterministic. It anchors the
+    // tolerance band for every schedule.
+    let reference = verify_protocol(p.clone(), opts(400_000, 1));
     assert!(reference.is_verified(), "{:?}", reference.stats());
     let want = reference.stats().states;
-    assert!(want > 50_000, "product unexpectedly small: {want}");
-    for (threads, strategy) in matrix() {
-        let out = verify_protocol(p.clone(), opts(400_000, threads, strategy));
-        assert!(
-            out.is_verified(),
-            "threads={threads} {strategy:?}: {:?}",
-            out.stats()
-        );
-        assert_states_close(
-            out.stats().states,
-            want,
-            &format!("threads={threads} {strategy:?}"),
-        );
+    assert_eq!(want, 121_469, "the sequential count is pinned exactly");
+    for threads in THREADS {
+        let out = verify_protocol(p.clone(), opts(400_000, threads));
+        assert!(out.is_verified(), "threads={threads}: {:?}", out.stats());
+        assert_states_close(out.stats().states, want, &format!("threads={threads}"));
     }
 }

@@ -2,15 +2,15 @@
 //! result.
 //!
 //! Each property kills a run at a random admission point (a state-budget
-//! trip lands at a batch-admission boundary — the only place the engines
-//! poll their [`Budget`]), checkpoints, resumes from the file, and
+//! trip lands at a batch-admission boundary — the only place the search
+//! polls its [`Budget`]), checkpoints, resumes from the file, and
 //! demands the resumed search agree with an uninterrupted run of the same
 //! configuration:
 //!
 //!  * the verdict is identical;
 //!  * for exhaustive (`Verified`) searches the state count is identical
-//!    on every engine — the reachable quotient does not depend on the
-//!    schedule;
+//!    at every thread count — the reachable quotient does not depend on
+//!    the schedule;
 //!  * for sequential searches the state count is identical even when the
 //!    search stops early (BFS order is deterministic, and the checkpoint
 //!    preserves the frontier order);
@@ -19,9 +19,8 @@
 //!    has no serial reordering — resume cannot fabricate or corrupt a
 //!    counterexample.
 //!
-//! The matrix spans {1, 4} threads × {level-sync, work-stealing} ×
-//! {off, full} symmetry, as drawn by the (deterministic, vendored)
-//! proptest runner.
+//! The matrix spans {1, 4} threads × {off, full} symmetry, as drawn by
+//! the (deterministic, vendored) proptest runner.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -37,11 +36,10 @@ fn ckpt_path(tag: &str, case: u64) -> PathBuf {
     ))
 }
 
-fn base_opts(threads: usize, strategy: SearchStrategy, sym: SymmetryMode) -> VerifyOptions {
+fn base_opts(threads: usize, sym: SymmetryMode) -> VerifyOptions {
     VerifyOptions::new()
         .max_states(2_000_000)
         .threads(threads)
-        .strategy(strategy)
         .symmetry(sym)
         .batch_size(16)
 }
@@ -63,8 +61,8 @@ fn replays<P: Protocol>(proto: &P, run: &[Action]) -> bool {
     true
 }
 
-/// Validate a counterexample. Every engine must return a run that
-/// replays; only the sequential engine's shortest counterexample is
+/// Validate a counterexample. Every thread count must return a run that
+/// replays; only the sequential search's shortest counterexample is
 /// additionally guaranteed to have a genuinely non-SC trace (a parallel
 /// schedule may surface a longer path whose witness order fails even
 /// though the trace admits some other serial reordering — the same
@@ -98,7 +96,6 @@ fn kill_resume_case<P, F>(
     case: u64,
     kill_at: usize,
     threads: usize,
-    strategy: SearchStrategy,
     sym: SymmetryMode,
     expect_violation: bool,
 ) -> Result<(), TestCaseError>
@@ -110,9 +107,9 @@ where
     let path = ckpt_path(tag, case);
     let _ = std::fs::remove_file(&path);
 
-    let clean = Verifier::with_options(mk(), base_opts(threads, strategy, sym)).run();
+    let clean = Verifier::with_options(mk(), base_opts(threads, sym)).run();
 
-    let killed = Verifier::with_options(mk(), base_opts(threads, strategy, sym))
+    let killed = Verifier::with_options(mk(), base_opts(threads, sym))
         .budget(Budget::unlimited().states(kill_at))
         .checkpoint_to(&path)
         .run_controlled()
@@ -129,7 +126,7 @@ where
                 kill_at
             );
             prop_assert!(path.is_file(), "budget trip must write the checkpoint");
-            Verifier::with_options(mk(), base_opts(threads, strategy, sym))
+            Verifier::with_options(mk(), base_opts(threads, sym))
                 .resume_from(&path)
                 .run_controlled()
                 .map_err(|e| TestCaseError::fail(format!("resume run: {e}")))?
@@ -150,7 +147,8 @@ where
     );
     match &clean {
         // Exhaustive proof: the state count is the size of the reachable
-        // quotient, identical on every engine and unchanged by resume.
+        // quotient, identical at every thread count and unchanged by
+        // resume.
         Outcome::Verified { stats } => {
             prop_assert_eq!(
                 final_out.stats().states,
@@ -195,19 +193,14 @@ fn stats_of(out: &Outcome) -> usize {
     out.stats().states
 }
 
-fn matrix(pick: u8) -> (usize, SearchStrategy, SymmetryMode) {
+fn matrix(pick: u8) -> (usize, SymmetryMode) {
     let threads = if pick & 1 == 0 { 1 } else { 4 };
-    let strategy = if pick & 2 == 0 {
-        SearchStrategy::LevelSync
-    } else {
-        SearchStrategy::WorkStealing
-    };
-    let sym = if pick & 4 == 0 {
+    let sym = if pick & 2 == 0 {
         SymmetryMode::Off
     } else {
         SymmetryMode::Full
     };
-    (threads, strategy, sym)
+    (threads, sym)
 }
 
 proptest! {
@@ -215,21 +208,20 @@ proptest! {
 
     /// Exhaustively verified product (serial memory 1,1,2 — 522 raw
     /// states): killing anywhere and resuming must land on the same
-    /// proof with the same state count, on every engine combination.
+    /// proof with the same state count, at every thread count.
     #[test]
     fn kill_resume_parity_on_a_verified_product(
         case in 0u64..1_000_000,
         kill_at in 30usize..450,
-        pick in 0u8..8,
+        pick in 0u8..4,
     ) {
-        let (threads, strategy, sym) = matrix(pick);
+        let (threads, sym) = matrix(pick);
         kill_resume_case(
             || SerialMemory::new(Params::new(1, 1, 2)),
             "serial",
             case,
             kill_at,
             threads,
-            strategy,
             sym,
             false,
         )?;
@@ -242,9 +234,9 @@ proptest! {
     fn kill_resume_parity_on_a_violating_product(
         case in 0u64..1_000_000,
         kill_at in 30usize..800,
-        pick in 0u8..8,
+        pick in 0u8..4,
     ) {
-        let (threads, strategy, sym) = matrix(pick);
+        let (threads, sym) = matrix(pick);
         // Value symmetry is trivial here (v = 1); Full still exercises
         // the symmetry-aware checkpoint round-trip.
         kill_resume_case(
@@ -253,16 +245,15 @@ proptest! {
             case,
             kill_at,
             threads,
-            strategy,
             sym,
             true,
         )?;
     }
 }
 
-/// Cross-engine resume: a run killed under the 4-thread work-stealing
-/// engine resumes sequentially (and vice versa) to the same exhaustive
-/// proof — the checkpoint format is engine-neutral.
+/// Cross-thread-count resume: a run killed with four workers resumes
+/// with one (and vice versa) to the same exhaustive proof — the
+/// checkpoint format does not depend on the worker count.
 #[test]
 fn checkpoint_is_engine_neutral() {
     let clean = Verifier::new(SerialMemory::new(Params::new(1, 1, 2)))

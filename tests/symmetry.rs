@@ -6,7 +6,7 @@
 //! quotient"). Soundness says the reduced search must be *observationally
 //! identical* to the full one:
 //!
-//! * same verdict variant on every engine and thread count — never a
+//! * same verdict variant at every thread count — never a
 //!   missed violation, never a spurious one;
 //! * strictly fewer (or equal) explored states, since each orbit is
 //!   visited once;
@@ -18,26 +18,14 @@
 use sc_verify::prelude::*;
 use sc_verify::testing::{MonitorStep, RunMonitor};
 
-/// Engine/thread configurations exercised by every differential check:
-/// sequential, asynchronous work-stealing, and level-synchronous BFS.
-fn engines() -> [(usize, SearchStrategy); 3] {
-    [
-        (1, SearchStrategy::WorkStealing),
-        (4, SearchStrategy::WorkStealing),
-        (4, SearchStrategy::LevelSync),
-    ]
-}
+/// Thread counts exercised by every differential check: one worker
+/// (sequential BFS) and four (asynchronous work-stealing).
+const THREADS: [usize; 2] = [1, 4];
 
-fn opts(
-    max_states: usize,
-    threads: usize,
-    strategy: SearchStrategy,
-    sym: SymmetryMode,
-) -> VerifyOptions {
+fn opts(max_states: usize, threads: usize, sym: SymmetryMode) -> VerifyOptions {
     VerifyOptions::new()
         .max_states(max_states)
         .threads(threads)
-        .strategy(strategy)
         .symmetry(sym)
 }
 
@@ -57,24 +45,24 @@ fn verdict(out: &Outcome) -> &'static str {
 /// here comes entirely from value symmetry.
 #[test]
 fn exhaustive_parity_on_every_engine() {
-    for (threads, strategy) in engines() {
+    for threads in THREADS {
         let off = verify_protocol(
             SerialMemory::new(Params::new(1, 1, 2)),
-            opts(2_000_000, threads, strategy, SymmetryMode::Off),
+            opts(2_000_000, threads, SymmetryMode::Off),
         );
         let on = verify_protocol(
             SerialMemory::new(Params::new(1, 1, 2)),
-            opts(2_000_000, threads, strategy, SymmetryMode::Full),
+            opts(2_000_000, threads, SymmetryMode::Full),
         );
         assert!(
             off.is_verified() && on.is_verified(),
-            "threads={threads} {strategy:?}: off={:?} on={:?}",
+            "threads={threads}: off={:?} on={:?}",
             off.stats(),
             on.stats()
         );
         assert!(
             on.stats().states < off.stats().states,
-            "threads={threads} {strategy:?}: quotient must shrink the space \
+            "threads={threads}: quotient must shrink the space \
              ({} vs {})",
             on.stats().states,
             off.stats().states
@@ -111,30 +99,22 @@ fn msi_reduction_is_at_least_two_fold() {
 }
 
 /// Safe protocols under a tight cap: the reduced search must stay
-/// Bounded on every engine — no spurious violation can be introduced by
+/// Bounded at every thread count — no spurious violation can be introduced by
 /// orbit merging.
 #[test]
 fn safe_protocols_stay_safe_under_symmetry() {
-    for (threads, strategy) in engines() {
+    for threads in THREADS {
         for sym in [SymmetryMode::Proc, SymmetryMode::Full] {
             let out = verify_protocol(
                 MsiProtocol::new(Params::new(2, 1, 2)),
-                opts(6_000, threads, strategy, sym),
+                opts(6_000, threads, sym),
             );
-            assert_eq!(
-                verdict(&out),
-                "Bounded",
-                "threads={threads} {strategy:?} {sym:?}"
-            );
+            assert_eq!(verdict(&out), "Bounded", "threads={threads} {sym:?}");
             let out = verify_protocol(
                 LazyCaching::new(Params::new(2, 1, 1), 1, 1),
-                opts(6_000, threads, strategy, sym),
+                opts(6_000, threads, sym),
             );
-            assert_eq!(
-                verdict(&out),
-                "Bounded",
-                "lazy threads={threads} {strategy:?} {sym:?}"
-            );
+            assert_eq!(verdict(&out), "Bounded", "lazy threads={threads} {sym:?}");
         }
     }
 }
@@ -169,9 +149,9 @@ fn replay_flags_violation<P: Protocol + Clone>(p: &P, run: &[Action]) {
 }
 
 /// Violating protocols: the quotient search must still catch the bug on
-/// every engine, and each counterexample must be a genuine run of the
+/// every thread count, and each counterexample must be a genuine run of the
 /// unreduced system that independently fails the §5 online monitor.
-/// The sequential engine's counterexample is additionally shortest
+/// The sequential search's counterexample is additionally shortest
 /// (deterministic BFS), and for these protocols its trace genuinely has
 /// no serial reordering; asynchronous schedules may surface a different
 /// rejected run whose trace is itself SC (rejection = "no witness under
@@ -181,11 +161,11 @@ where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    for (threads, strategy) in engines() {
-        let out = verify_protocol(p.clone(), opts(2_000_000, threads, strategy, sym));
+    for threads in THREADS {
+        let out = verify_protocol(p.clone(), opts(2_000_000, threads, sym));
         let Outcome::Violation { run, trace, .. } = &out else {
             panic!(
-                "threads={threads} {strategy:?} {sym:?}: expected Violation, got {:?}",
+                "threads={threads} {sym:?}: expected Violation, got {:?}",
                 out.stats()
             );
         };

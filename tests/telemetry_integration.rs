@@ -50,13 +50,18 @@ fn same_verdict_and_state_count_with_telemetry_on_and_off() {
             on.stats().states,
             "threads={threads}: exhaustive state count must not depend on telemetry"
         );
-        // The registry counter mirrors the search (the work-stealing
-        // engine live-counts admissions excluding the initial state; the
-        // sequential engine publishes the full total at the end).
+        // The registry counter mirrors the search: admissions are
+        // counted live, as they happen, and the initial state is never
+        // admitted — at every thread count, one worker included.
         let states = on.stats().states as u64;
+        assert_eq!(
+            admitted,
+            states - 1,
+            "threads={threads}: mc.states_admitted vs states"
+        );
         assert!(
-            admitted == states || admitted == states - 1,
-            "threads={threads}: mc.states_admitted={admitted} vs states={states}"
+            on.stats().peak_frontier > 0,
+            "threads={threads}: the frontier is observed"
         );
     }
 }

@@ -152,6 +152,22 @@ fn counterexamples_are_shortest() {
     }
 }
 
+/// Sequential BFS is deterministic, so the TSO litmus search (store
+/// buffers of depth 2) is pinned exactly: the state count at the
+/// violation and the length of its shortest witness.
+#[test]
+fn tso_violation_is_pinned_at_one_worker() {
+    let out = verify_protocol(
+        StoreBufferTso::new(Params::new(2, 2, 1), 2),
+        opts(2_000_000).threads(1),
+    );
+    let Outcome::Violation { run, stats, .. } = &out else {
+        panic!("expected Violation, got {:?}", out.stats());
+    };
+    assert_eq!(stats.states, 715);
+    assert_eq!(run.len(), 4, "shortest witness: {run:?}");
+}
+
 #[test]
 fn parallel_and_sequential_verification_agree() {
     let seq = verify_protocol(MsiProtocol::buggy(Params::new(2, 2, 1)), opts(2_000_000));
