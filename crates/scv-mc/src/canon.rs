@@ -630,17 +630,6 @@ pub(crate) fn fast_min<P: Symmetry>(
     }
 }
 
-/// Access the thread-local scratch used by the eager seal path (the lazy
-/// expansion path carries a [`CanonScratch`] in its per-worker scratch
-/// instead).
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut CanonScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<CanonScratch> =
-            std::cell::RefCell::new(CanonScratch::new());
-    }
-    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

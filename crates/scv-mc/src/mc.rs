@@ -69,11 +69,10 @@ impl Fingerprinter {
     }
 
     /// A half-width fingerprint (one hasher pass instead of two) for
-    /// worker-local caching, where a collision costs a wrong cache answer
-    /// bounded by the cache's size, not the whole search. At ≤2^16 cached
-    /// keys the collision probability is ~2^-33 per cache lifetime —
-    /// negligible next to the 128-bit birthday bound the global seen-set
-    /// already accepts.
+    /// keying the orbit-seal cache, where a collision costs a wrong cache
+    /// answer bounded by the cache's size, not the whole search. The cache
+    /// holds at most ~2^20 keys at a time, so two of them collide with
+    /// probability ~2^-25 per full cache.
     pub(crate) fn fp64<S: Hash>(&self, s: &S) -> u64 {
         self.a.hash_one(s)
     }

@@ -209,14 +209,19 @@ impl<PS> VerifyState<PS> {
     pub fn encoding(&self) -> &[u64] {
         self.enc.as_slice()
     }
+
+    fn fp_parts(&self) -> FpParts<'_, PS> {
+        FpParts {
+            proto: (!self.sym).then_some(&self.proto),
+            enc: self.encoding(),
+        }
+    }
 }
 
-/// The hashable projection of a product state that the admission gate
-/// fingerprints *before* materializing it: protocol component iff the
-/// encoding is not symmetry-sealed, then the canonical encoding. Must
-/// hash exactly like [`VerifyState`] (same field order, and `&[u64]`
-/// hashes identically to the `EncRef`/`Vec<u64>` it stands in for) —
-/// `tests/lazy_expand_props.rs` pins this equivalence.
+/// The hashable projection of a product state: protocol component iff the
+/// encoding is not symmetry-sealed, then the canonical encoding. The
+/// admission gate fingerprints it *before* materializing a candidate, and
+/// [`VerifyState`] hashes through it, so the two agree by construction.
 struct FpParts<'a, PS> {
     proto: Option<&'a PS>,
     enc: &'a [u64],
@@ -247,10 +252,7 @@ impl<PS: Eq> Eq for VerifyState<PS> {}
 
 impl<PS: Hash> Hash for VerifyState<PS> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        if !self.sym {
-            self.proto.hash(state);
-        }
-        self.enc.hash(state);
+        self.fp_parts().hash(state);
     }
 }
 
@@ -286,24 +288,18 @@ const SEAL_L2_STRIPE_CAP: usize = 1 << 14;
 
 /// The shared second-level orbit-seal cache, living in the
 /// [`VerifySystem`] so every worker (and every slice of a stop-and-go
-/// run) sees it: identity-encoding key → orbit-minimum fingerprint, plus
-/// the interned canonical encoding once the state has been admitted and
-/// frozen. A hit with an encoding skips the *entire* seal — canonical
-/// words are copied straight out of the arena; a hit without one still
-/// skips the group enumeration (the encoding is recomputed only in the
-/// rare admitted case, exactly like an L1 hit).
+/// run) sees it: identity-encoding key → orbit-minimum fingerprint. It
+/// holds fingerprints only, never encodings, so it keeps no arena chunk
+/// alive; a hit skips the group enumeration, and the rare admitted hit
+/// reseals from scratch at freeze time.
 ///
 /// Keys are [`Fingerprinter::fp64`] values and therefore seed-dependent;
 /// `seed_tag` folds the fingerprinter seeds, and a mismatch (a new search
 /// over the same system) clears the cache before first use. Runs never
 /// overlap on one system, so the raced clear is at worst a few wasted
 /// fresh inserts.
-/// One L2 entry: orbit-minimum fingerprint plus the interned canonical
-/// encoding once the owning state has been admitted and frozen.
-type SealEntry = (u128, Option<EncRef>);
-
 struct SealCacheL2 {
-    stripes: Vec<Mutex<HashMap<u64, SealEntry>>>,
+    stripes: Vec<Mutex<HashMap<u64, u128>>>,
     seed_tag: AtomicU64,
 }
 
@@ -340,45 +336,157 @@ impl SealCacheL2 {
         }
     }
 
-    fn stripe(&self, key: u64) -> &Mutex<HashMap<u64, SealEntry>> {
+    fn stripe(&self, key: u64) -> &Mutex<HashMap<u64, u128>> {
         // High bits pick the stripe so it decorrelates from the L1 index
         // (low bits).
         &self.stripes[((key >> 32) as usize) & (SEAL_L2_STRIPES - 1)]
     }
 
-    fn get(&self, key: u64) -> Option<(u128, Option<EncRef>)> {
+    fn get(&self, key: u64) -> Option<u128> {
         self.stripe(key)
             .lock()
             .expect("seal L2 poisoned")
             .get(&key)
-            .cloned()
+            .copied()
     }
 
-    /// Record a freshly canonicalized fingerprint (no encoding yet).
-    fn insert_fp(&self, key: u64, fp: u128) {
+    fn insert(&self, key: u64, fp: u128) {
         let mut m = self.stripe(key).lock().expect("seal L2 poisoned");
         if m.len() >= SEAL_L2_STRIPE_CAP {
             m.clear();
         }
-        m.entry(key).or_insert((fp, None));
-    }
-
-    /// Attach the interned canonical encoding of an admitted state.
-    fn set_enc(&self, key: u64, fp: u128, enc: EncRef) {
-        let mut m = self.stripe(key).lock().expect("seal L2 poisoned");
-        if m.len() >= SEAL_L2_STRIPE_CAP {
-            m.clear();
-        }
-        m.insert(key, (fp, Some(enc)));
+        m.entry(key).or_insert(fp);
     }
 }
 
+/// The per-worker L1 orbit-seal cache: a direct-mapped array keyed by the
+/// half-width fingerprint of the *identity* encoding, holding the
+/// orbit-minimum state fingerprint. The identity encoding starts with the
+/// injective protocol encoding, so it determines the product state;
+/// re-deriving the same state from another parent hits here and skips the
+/// whole canonicalization. Key 0 marks an empty slot (a real key of 0
+/// simply never caches — the same 2⁻⁶⁴-class event as an fp64
+/// collision). A miss falls through to the shared [`SealCacheL2`].
+struct SealCacheL1 {
+    keys: Box<[u64]>,
+    fps: Box<[u128]>,
+    /// Hit-rate gate over both levels (see [`SEAL_GATE_WINDOW`]): on
+    /// orbit-dense spaces with almost no re-derivations the cache turns
+    /// itself off, dropping the per-candidate key hash *and* the identity
+    /// encoding's observer/checker walk the key is hashed from.
+    probes: u32,
+    hits: u32,
+    off: bool,
+}
+
+impl SealCacheL1 {
+    fn new() -> Self {
+        SealCacheL1 {
+            keys: vec![0u64; SEAL_L1_SLOTS].into_boxed_slice(),
+            fps: vec![0u128; SEAL_L1_SLOTS].into_boxed_slice(),
+            probes: 0,
+            hits: 0,
+            off: false,
+        }
+    }
+
+    /// Look `key` up in L1, then in the shared L2 (filling L1 on an L2
+    /// hit), and advance the hit-rate gate.
+    fn probe(&mut self, l2: &SealCacheL2, key: u64) -> Option<u128> {
+        use scv_telemetry::recorder::{self, InstantKind};
+        use scv_telemetry::Metric;
+        self.probes += 1;
+        let slot = (key as usize) & (SEAL_L1_SLOTS - 1);
+        let hit = if key != 0 && self.keys[slot] == key {
+            Some(self.fps[slot])
+        } else {
+            let hit = l2.get(key);
+            match hit {
+                Some(fp) => {
+                    scv_telemetry::add(Metric::SealCacheL2Hits, 1);
+                    if key != 0 {
+                        self.keys[slot] = key;
+                        self.fps[slot] = fp;
+                    }
+                }
+                None => scv_telemetry::add(Metric::SealCacheL2Misses, 1),
+            }
+            hit
+        };
+        if self.probes >= SEAL_GATE_WINDOW {
+            if self.hits < SEAL_GATE_MIN_HITS {
+                self.off = true;
+            }
+            self.probes = 0;
+            self.hits = 0;
+        }
+        let (metric, kind) = match hit {
+            Some(_) => {
+                self.hits += 1;
+                (Metric::SealCacheHits, InstantKind::SealCacheHit)
+            }
+            None => (Metric::SealCacheMisses, InstantKind::SealCacheMiss),
+        };
+        scv_telemetry::add(metric, 1);
+        if scv_telemetry::recorder_enabled() {
+            recorder::instant(kind, 0);
+        }
+        hit
+    }
+
+    /// Record a freshly sealed fingerprint in both levels.
+    fn insert(&mut self, l2: &SealCacheL2, key: u64, fp: u128) {
+        if key != 0 {
+            let slot = (key as usize) & (SEAL_L1_SLOTS - 1);
+            self.keys[slot] = key;
+            self.fps[slot] = fp;
+        }
+        l2.insert(key, fp);
+    }
+}
+
+/// Reusable work buffers of [`VerifySystem::seal_into`]: the aux-ID
+/// renaming, the orbit-minimization incumbent and candidate, and the
+/// sort-based canonicalization scratch.
+struct SealBufs {
+    /// Aux-ID renaming for the identity encodings (no location map —
+    /// `'static` is the no-borrow case).
+    ids: scv_descriptor::IdCanon<'static>,
+    best: Vec<u64>,
+    cand: Vec<u64>,
+    canon: CanonScratch,
+}
+
+impl SealBufs {
+    fn new() -> Self {
+        SealBufs {
+            ids: scv_descriptor::IdCanon::new(0),
+            best: Vec::with_capacity(160),
+            cand: Vec::with_capacity(160),
+            canon: CanonScratch::new(),
+        }
+    }
+}
+
+/// Run `f` on this thread's [`SealBufs`] — the scratch of the eager seal
+/// path (the lazy path carries its own in [`SealScratch`]).
+fn with_thread_bufs<R>(f: impl FnOnce(&mut SealBufs) -> R) -> R {
+    thread_local! {
+        static BUFS: std::cell::RefCell<SealBufs> = std::cell::RefCell::new(SealBufs::new());
+    }
+    BUFS.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// An orbit-seal cache lookup keyed by a candidate's identity words (see
+/// [`VerifySystem::seal_into`]).
+type SealProbe<'a> = &'a mut dyn FnMut(&[u64]) -> Option<u128>;
+
 /// Sentinel for [`CandSlot::enc_len`]: the candidate's canonical encoding
 /// was *not* written to the scratch arena (its fingerprint came from the
-/// orbit-seal cache). If such a candidate is admitted — rare: only probe
-/// races and within-expansion duplicates, since a cache hit normally means
-/// the state is already in the seen-set — the encoding is recomputed at
-/// freeze time.
+/// orbit-seal cache). If such a candidate is admitted — rare: a probe race
+/// between workers, or two transitions of one expansion reaching the same
+/// product state, since a cache hit normally means the state is already
+/// in the seen-set — it is resealed at freeze time.
 const ENC_UNSEALED: usize = usize::MAX;
 
 /// One replay slot of the lazy expansion scratch: the observer/checker
@@ -401,16 +509,12 @@ struct CandSlot<PS> {
     error: Option<RejectReason>,
     enc_start: usize,
     enc_len: usize,
-    /// The seal-cache key of this candidate's identity encoding, kept so
-    /// an admitted slot can upgrade the shared L2 entry with its interned
-    /// canonical encoding at freeze time.
-    key: Option<u64>,
 }
 
 /// Per-worker scratch for admission-gated lazy expansion, carried by the
 /// search core inside an opaque [`ExpandScratch`]. Everything here is reused
 /// across expansions: the replay slots, the symbol and encoding buffers,
-/// and the orbit-seal cache (per worker, hence lock-free).
+/// and the L1 orbit-seal cache (per worker, hence lock-free).
 pub(crate) struct SealScratch<PS> {
     slots: Vec<CandSlot<PS>>,
     syms: Vec<Symbol>,
@@ -419,36 +523,13 @@ pub(crate) struct SealScratch<PS> {
     trans: Vec<Transition<PS>>,
     /// Concatenated candidate encodings for the current expansion.
     enc: Vec<u64>,
-    /// Orbit-minimization work buffers.
-    best: Vec<u64>,
-    cand: Vec<u64>,
     /// Candidate fingerprints and the admission verdicts they received.
     fps: Vec<u128>,
     keep: Vec<bool>,
     /// Freeze buffer: admitted encodings, compacted before interning.
     frozen: Vec<u64>,
-    /// Reusable aux-ID renaming for the per-candidate identity encodings
-    /// (no location map — `'static` is the no-borrow case).
-    ids: scv_descriptor::IdCanon<'static>,
-    /// L1 orbit-seal cache: a direct-mapped array keyed by the half-width
-    /// fingerprint of the *identity* encoding, holding the orbit-minimum
-    /// state fingerprint. The identity encoding starts with the injective
-    /// protocol encoding, so it determines the product state; re-deriving
-    /// the same state from another parent hits here and skips the whole
-    /// canonicalization. Key 0 marks an empty slot (a real key of 0 simply
-    /// never caches — the same 2⁻⁶⁴-class event as an fp64 collision). A
-    /// miss falls through to the shared [`SealCacheL2`].
-    l1_keys: Box<[u64]>,
-    l1_fps: Box<[u128]>,
-    /// Hit-rate gate over both levels (see [`SEAL_GATE_WINDOW`]): on
-    /// orbit-dense spaces with almost no re-derivations the cache turns
-    /// itself off, dropping the per-candidate key hash *and* the identity
-    /// encoding's observer/checker walk the key is hashed from.
-    probes: u32,
-    hits: u32,
-    cache_off: bool,
-    /// Sort-based canonicalization work buffers.
-    canon: CanonScratch,
+    bufs: SealBufs,
+    l1: SealCacheL1,
 }
 
 impl<PS> SealScratch<PS> {
@@ -458,18 +539,11 @@ impl<PS> SealScratch<PS> {
             syms: Vec::new(),
             trans: Vec::new(),
             enc: Vec::with_capacity(1024),
-            best: Vec::with_capacity(160),
-            cand: Vec::with_capacity(160),
             fps: Vec::new(),
             keep: Vec::new(),
             frozen: Vec::with_capacity(1024),
-            ids: scv_descriptor::IdCanon::new(0),
-            l1_keys: vec![0u64; SEAL_L1_SLOTS].into_boxed_slice(),
-            l1_fps: vec![0u128; SEAL_L1_SLOTS].into_boxed_slice(),
-            probes: 0,
-            hits: 0,
-            cache_off: false,
-            canon: CanonScratch::new(),
+            bufs: SealBufs::new(),
+            l1: SealCacheL1::new(),
         }
     }
 }
@@ -588,16 +662,7 @@ impl<P: Symmetry> VerifySystem<P> {
     }
 
     /// Seal a product state: compute the canonical encoding its hash and
-    /// equality go through.
-    ///
-    /// Without symmetry this is the aux-ID-canonical encoding of observer
-    /// and checker (the protocol state is hashed natively alongside).
-    /// With symmetry it is the lexicographic minimum, over every group
-    /// element `g`, of `encode(g · (proto, obs, chk))` — computed without
-    /// materialising any renamed structure, by threading a
-    /// [`scv_descriptor::SymView`] through the encoding traversals. A
-    /// cheap prefix comparison on the (injective) protocol part prunes
-    /// most candidates before the expensive observer/checker walk.
+    /// equality go through (see [`VerifySystem::seal_into`]).
     fn seal(
         &self,
         proto: P::State,
@@ -605,54 +670,15 @@ impl<P: Symmetry> VerifySystem<P> {
         chk: ScChecker,
         error: Option<RejectReason>,
     ) -> VerifyState<P::State> {
-        let base = obs.location_count();
-        if self.perms.is_empty() {
-            // One IdCanon across both encodings: auxiliary descriptor IDs
-            // are renamed consistently, so product states differing only
-            // by an aux-ID permutation (which are bisimilar) hash
-            // identically.
-            let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
-            let mut ids = scv_descriptor::IdCanon::new(base);
-            let mut enc = Vec::with_capacity(128);
-            obs.canonical_encoding(&mut enc, &mut ids);
-            chk.canonical_encoding(&mut enc, &mut ids);
-            return VerifyState {
-                proto,
-                obs,
-                chk,
-                error,
-                enc: EncRef::owned(&enc),
-                sym: false,
-            };
-        }
-
-        let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
-        // Identity candidate: protocol encoding (injective, required
-        // because `proto` no longer participates in the hash) followed by
-        // the plain canonical encodings.
-        let mut best = Vec::with_capacity(160);
-        self.protocol.encode_state(&proto, &mut best);
-        let proto_len = best.len();
-        let obs_end;
-        {
-            let mut ids = scv_descriptor::IdCanon::new(base);
-            obs.canonical_encoding(&mut best, &mut ids);
-            obs_end = best.len();
-            chk.canonical_encoding(&mut best, &mut ids);
-        }
-        let mut cand = Vec::with_capacity(best.len());
-        canon::with_thread_scratch(|cs| {
-            self.canon_min(
-                &proto, &obs, &chk, base, proto_len, &mut best, &mut cand, cs, true, obs_end,
-            )
-        });
+        let mut enc = Vec::with_capacity(160);
+        with_thread_bufs(|bufs| self.seal_into(&proto, &obs, &chk, bufs, &mut enc, None));
         VerifyState {
             proto,
             obs,
             chk,
             error,
-            enc: EncRef::owned(&best),
-            sym: true,
+            enc: EncRef::owned(&enc),
+            sym: !self.perms.is_empty(),
         }
     }
 
@@ -663,27 +689,66 @@ impl<P: Symmetry> VerifySystem<P> {
     /// sort-based fast path ([`SymmetryMode::Full`]) or the brute-force
     /// reference ([`SymmetryMode::FullEnum`]).
     pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
-        let resealed = self.seal(s.proto.clone(), s.obs.clone(), s.chk.clone(), None);
-        resealed.enc.as_slice().to_vec()
+        let mut enc = Vec::with_capacity(160);
+        with_thread_bufs(|bufs| self.seal_into(&s.proto, &s.obs, &s.chk, bufs, &mut enc, None));
+        enc
     }
 
-    /// Dispatch one orbit-minimization: the sort-based fast path when a
-    /// plan exists, the full-enumeration reference otherwise. Both produce
-    /// the same bytes in `best` and the same telemetry tie counts.
-    #[allow(clippy::too_many_arguments)]
-    fn canon_min(
+    /// Append the canonical words of the product state `(proto, obs, chk)`
+    /// to `out` — the one seal routine every path goes through.
+    ///
+    /// Without symmetry the words are the aux-ID-canonical encodings of
+    /// observer and checker, renamed through one [`scv_descriptor::IdCanon`]
+    /// so product states differing only by an aux-ID permutation (which
+    /// are bisimilar) seal identically; the protocol state is hashed
+    /// natively alongside (see [`FpParts`]). With symmetry they are the
+    /// lexicographic minimum, over every group element `g`, of
+    /// `encode(g · (proto, obs, chk))`, whose leading protocol encoding is
+    /// injective because `proto` no longer participates in the hash. The
+    /// minimum is computed without materialising any renamed structure, by
+    /// the sort-based fast path when a plan exists and by the
+    /// full-enumeration reference otherwise; both produce the same bytes.
+    ///
+    /// `probe`, when given, keys the orbit-seal cache: it sees the identity
+    /// words, which determine the product state, before the minimum is
+    /// computed. If it returns a fingerprint the seal stops there, appends
+    /// nothing, and returns that fingerprint.
+    fn seal_into(
         &self,
         proto: &P::State,
         obs: &Observer,
         chk: &ScChecker,
-        base: u32,
-        proto_len: usize,
-        best: &mut Vec<u64>,
-        cand: &mut Vec<u64>,
-        cs: &mut CanonScratch,
-        have_identity: bool,
-        identity_obs_end: usize,
-    ) {
+        bufs: &mut SealBufs,
+        out: &mut Vec<u64>,
+        probe: Option<SealProbe<'_>>,
+    ) -> Option<u128> {
+        let base = obs.location_count();
+        if self.perms.is_empty() {
+            let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
+            bufs.ids.reset_with(base);
+            obs.canonical_encoding(out, &mut bufs.ids);
+            chk.canonical_encoding(out, &mut bufs.ids);
+            return None;
+        }
+        let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
+        let best = &mut bufs.best;
+        best.clear();
+        self.protocol.encode_state(proto, best);
+        let proto_len = best.len();
+        // The fast path seeds its incumbent from the first enumerated
+        // candidate, so the identity's observer/checker walk is needed
+        // only to key the cache or to seed the reference enumeration.
+        let have_identity = probe.is_some() || self.fast.is_none();
+        let mut obs_end = 0usize;
+        if have_identity {
+            bufs.ids.reset_with(base);
+            obs.canonical_encoding(best, &mut bufs.ids);
+            obs_end = best.len();
+            chk.canonical_encoding(best, &mut bufs.ids);
+            if let Some(fp) = probe.and_then(|probe| probe(best)) {
+                return Some(fp);
+            }
+        }
         match &self.fast {
             Some(plan) => canon::fast_min(
                 &self.protocol,
@@ -695,24 +760,24 @@ impl<P: Symmetry> VerifySystem<P> {
                 base,
                 proto_len,
                 best,
-                cand,
-                cs,
+                &mut bufs.cand,
+                &mut bufs.canon,
                 have_identity,
-                identity_obs_end,
+                obs_end,
             ),
-            None => {
-                debug_assert!(have_identity, "the enum path needs the identity encoding");
-                self.orbit_min(proto, obs, chk, base, proto_len, best, cand);
-            }
+            None => self.orbit_min(proto, obs, chk, base, proto_len, best, &mut bufs.cand),
         }
+        out.extend_from_slice(best);
+        None
     }
 
-    /// The orbit-minimization inner loop shared by [`VerifySystem::seal`]
-    /// and the lazy expansion path. On entry `best` holds the identity
+    /// The full-enumeration reference canonicalizer behind
+    /// [`VerifySystem::seal_into`]. On entry `best` holds the identity
     /// candidate (injective protocol prefix of `proto_len` words, then the
     /// plain canonical encodings); on exit it holds the lexicographic
-    /// minimum over the whole group, computed without materialising any
-    /// renamed structure.
+    /// minimum over the whole group. A cheap prefix comparison on the
+    /// protocol part prunes most candidates before the expensive
+    /// observer/checker walk.
     #[allow(clippy::too_many_arguments)]
     fn orbit_min(
         &self,
@@ -854,9 +919,13 @@ where
             return;
         };
         let _t = scv_telemetry::timer(scv_telemetry::Phase::Expand);
-        let base = s.obs.location_count();
         let sym = !self.perms.is_empty();
-        if sym {
+        // Keying the cache costs a hash pass over the identity encoding,
+        // while a hit saves the whole canonicalization — worthwhile only
+        // when the group is big enough to amortize the key, and only until
+        // the hit-rate gate trips.
+        let cached = self.perms.len() >= 4;
+        if cached {
             // The shared L2 is keyed by identity-encoding fp64, which
             // depends on the fingerprinter seeds: (re)seed it, clearing
             // stale entries when the seeds changed since the last run.
@@ -890,7 +959,6 @@ where
                     error: None,
                     enc_start: 0,
                     enc_len: 0,
-                    key: None,
                 });
             }
             let slot = &mut sc.slots[i];
@@ -931,8 +999,9 @@ where
                     }
                 }
             }
-            // Fingerprint-only seal: canonical encoding into the scratch
+            // Fingerprint-only seal: canonical words into the scratch
             // arena, no state construction.
+            let proto = slot.proto.as_ref().expect("slot.proto filled above");
             let obs = slot.obs.as_ref().expect("slot.obs filled above");
             let chk = if slot.chk_is_parent {
                 &s.chk
@@ -940,143 +1009,39 @@ where
                 slot.chk.as_ref().expect("slot.chk filled above")
             };
             let start = sc.enc.len();
-            let fp = if !sym {
-                let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
-                sc.ids.reset_with(base);
-                obs.canonical_encoding(&mut sc.enc, &mut sc.ids);
-                chk.canonical_encoding(&mut sc.enc, &mut sc.ids);
-                fper.fp(&FpParts {
-                    proto: slot.proto.as_ref(),
-                    enc: &sc.enc[start..],
-                })
-            } else {
-                let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
-                let proto_next = slot.proto.as_ref().expect("slot.proto filled above");
-                // Identity protocol prefix first — injective, so together
-                // with the identity observer/checker encodings it
-                // determines the product state and keys the seal caches.
-                sc.best.clear();
-                self.protocol.encode_state(proto_next, &mut sc.best);
-                let proto_len = sc.best.len();
-                // Keying the cache costs a hash pass over the identity
-                // encoding, while a hit saves the whole canonicalization —
-                // worthwhile only when the group is big enough to amortize
-                // the key, and only until the hit-rate gate trips.
-                let use_cache = self.perms.len() >= 4 && !sc.cache_off;
-                // The fast path seeds its incumbent from the first
-                // enumerated candidate, so when no cache key is needed the
-                // identity's observer/checker walk is skipped entirely.
-                let have_identity = use_cache || self.fast.is_none();
-                let mut obs_end = 0usize;
-                if have_identity {
-                    sc.ids.reset_with(base);
-                    obs.canonical_encoding(&mut sc.best, &mut sc.ids);
-                    obs_end = sc.best.len();
-                    chk.canonical_encoding(&mut sc.best, &mut sc.ids);
-                }
-                slot.key = None;
-                let mut key = None;
-                if use_cache {
+            let mut key = None;
+            let hit = if cached && !sc.l1.off {
+                let l1 = &mut sc.l1;
+                let mut probe = |identity: &[u64]| {
                     let k = fper.fp64(&FpParts::<P::State> {
                         proto: None,
-                        enc: &sc.best,
+                        enc: identity,
                     });
-                    sc.probes += 1;
-                    let l1 = (k as usize) & (SEAL_L1_SLOTS - 1);
-                    let mut hit = None;
-                    if k != 0 && sc.l1_keys[l1] == k {
-                        hit = Some((sc.l1_fps[l1], None));
-                    } else {
-                        match self.l2.get(k) {
-                            Some(entry) => {
-                                scv_telemetry::add(scv_telemetry::Metric::SealCacheL2Hits, 1);
-                                if k != 0 {
-                                    sc.l1_keys[l1] = k;
-                                    sc.l1_fps[l1] = entry.0;
-                                }
-                                hit = Some(entry);
-                            }
-                            None => {
-                                scv_telemetry::add(scv_telemetry::Metric::SealCacheL2Misses, 1);
-                            }
-                        }
-                    }
-                    if sc.probes >= SEAL_GATE_WINDOW {
-                        if sc.hits < SEAL_GATE_MIN_HITS {
-                            sc.cache_off = true;
-                        }
-                        sc.probes = 0;
-                        sc.hits = 0;
-                    }
-                    match hit {
-                        Some((cached_fp, cached_enc)) => {
-                            sc.hits += 1;
-                            scv_telemetry::add(scv_telemetry::Metric::SealCacheHits, 1);
-                            if scv_telemetry::recorder_enabled() {
-                                scv_telemetry::recorder::instant(
-                                    scv_telemetry::recorder::InstantKind::SealCacheHit,
-                                    0,
-                                );
-                            }
-                            slot.enc_start = start;
-                            match cached_enc {
-                                Some(enc) => {
-                                    // The canonical encoding is already
-                                    // interned: copy it into the arena and
-                                    // seal the slot outright.
-                                    sc.enc.extend_from_slice(enc.as_slice());
-                                    slot.enc_len = sc.enc.len() - start;
-                                }
-                                None => {
-                                    slot.enc_len = ENC_UNSEALED;
-                                    slot.key = Some(k);
-                                }
-                            }
-                            sc.fps.push(cached_fp);
-                            continue;
-                        }
-                        None => {
-                            scv_telemetry::add(scv_telemetry::Metric::SealCacheMisses, 1);
-                            if scv_telemetry::recorder_enabled() {
-                                scv_telemetry::recorder::instant(
-                                    scv_telemetry::recorder::InstantKind::SealCacheMiss,
-                                    0,
-                                );
-                            }
-                            key = Some(k);
-                        }
-                    }
-                }
-                self.canon_min(
-                    proto_next,
-                    obs,
-                    chk,
-                    base,
-                    proto_len,
-                    &mut sc.best,
-                    &mut sc.cand,
-                    &mut sc.canon,
-                    have_identity,
-                    obs_end,
-                );
-                let fp = fper.fp(&FpParts::<P::State> {
-                    proto: None,
-                    enc: &sc.best,
-                });
-                if let Some(k) = key {
-                    if k != 0 {
-                        let l1 = (k as usize) & (SEAL_L1_SLOTS - 1);
-                        sc.l1_keys[l1] = k;
-                        sc.l1_fps[l1] = fp;
-                    }
-                    self.l2.insert_fp(k, fp);
-                    slot.key = Some(k);
-                }
-                sc.enc.extend_from_slice(&sc.best);
-                fp
+                    key = Some(k);
+                    l1.probe(&self.l2, k)
+                };
+                self.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.enc, Some(&mut probe))
+            } else {
+                self.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.enc, None)
             };
             slot.enc_start = start;
-            slot.enc_len = sc.enc.len() - start;
+            let fp = match hit {
+                Some(fp) => {
+                    slot.enc_len = ENC_UNSEALED;
+                    fp
+                }
+                None => {
+                    slot.enc_len = sc.enc.len() - start;
+                    let fp = fper.fp(&FpParts {
+                        proto: (!sym).then_some(proto),
+                        enc: &sc.enc[start..],
+                    });
+                    if let Some(k) = key {
+                        sc.l1.insert(&self.l2, k, fp);
+                    }
+                    fp
+                }
+            };
             sc.fps.push(fp);
         }
         sc.trans = trans; // drained; hand the allocation back
@@ -1101,55 +1066,29 @@ where
             if !sc.keep[i] {
                 continue;
             }
-            if sc.slots[i].enc_len == ENC_UNSEALED {
-                // Admitted on a cache hit (probe race or within-expansion
-                // duplicate): the fingerprint was cached but the canonical
-                // encoding was never written — recompute it now.
-                let new_len = {
-                    let slot = &sc.slots[i];
-                    let proto_next = slot.proto.as_ref().expect("slot.proto filled above");
-                    let obs = slot.obs.as_ref().expect("slot.obs filled above");
-                    let chk = if slot.chk_is_parent {
-                        &s.chk
-                    } else {
-                        slot.chk.as_ref().expect("slot.chk filled above")
-                    };
-                    sc.best.clear();
-                    self.protocol.encode_state(proto_next, &mut sc.best);
-                    let proto_len = sc.best.len();
-                    let obs_end;
-                    {
-                        let mut ids = scv_descriptor::IdCanon::new(base);
-                        obs.canonical_encoding(&mut sc.best, &mut ids);
-                        obs_end = sc.best.len();
-                        chk.canonical_encoding(&mut sc.best, &mut ids);
-                    }
-                    self.canon_min(
-                        proto_next,
-                        obs,
-                        chk,
-                        base,
-                        proto_len,
-                        &mut sc.best,
-                        &mut sc.cand,
-                        &mut sc.canon,
-                        true,
-                        obs_end,
-                    );
-                    debug_assert_eq!(
-                        fper.fp(&FpParts::<P::State> {
-                            proto: None,
-                            enc: &sc.best,
-                        }),
-                        sc.fps[i],
-                        "recomputed orbit minimum disagrees with the cached fingerprint"
-                    );
-                    sc.frozen.extend_from_slice(&sc.best);
-                    sc.best.len()
+            let slot = &mut sc.slots[i];
+            if slot.enc_len == ENC_UNSEALED {
+                // Admitted on a cache hit: the cache holds only the
+                // fingerprint, so reseal the candidate now.
+                let start = sc.frozen.len();
+                let proto = slot.proto.as_ref().expect("slot.proto filled above");
+                let obs = slot.obs.as_ref().expect("slot.obs filled above");
+                let chk = if slot.chk_is_parent {
+                    &s.chk
+                } else {
+                    slot.chk.as_ref().expect("slot.chk filled above")
                 };
-                sc.slots[i].enc_len = new_len;
+                self.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.frozen, None);
+                debug_assert_eq!(
+                    fper.fp(&FpParts::<P::State> {
+                        proto: None,
+                        enc: &sc.frozen[start..],
+                    }),
+                    sc.fps[i],
+                    "resealed orbit minimum disagrees with the cached fingerprint"
+                );
+                slot.enc_len = sc.frozen.len() - start;
             } else {
-                let slot = &sc.slots[i];
                 sc.frozen
                     .extend_from_slice(&sc.enc[slot.enc_start..slot.enc_start + slot.enc_len]);
             }
@@ -1168,11 +1107,6 @@ where
             }
             let slot = &mut sc.slots[i];
             let enc = EncRef::view(&chunk, off, slot.enc_len);
-            if let Some(k) = slot.key.take() {
-                // Upgrade the fingerprint-only cache entry with the interned
-                // canonical encoding so future hits seal without recomputing.
-                self.l2.set_enc(k, sc.fps[i], enc.clone());
-            }
             off += slot.enc_len;
             out.push((
                 slot.action,
@@ -1888,6 +1822,50 @@ mod tests {
             opts(2_000_000).threads(4),
         );
         assert!(matches!(par, Outcome::Violation { .. }));
+    }
+
+    /// An admitted seal-cache hit (in a search, mostly a probe race between
+    /// workers) must reseal to exactly the state's canonical encoding and
+    /// fingerprint. Expanding one state twice through the same scratch
+    /// makes every second-pass candidate a cache hit, and admitting
+    /// everything sends each one down the reseal path.
+    #[test]
+    fn admitted_seal_cache_hits_reseal_canonically() {
+        let sys =
+            VerifySystem::with_symmetry(MsiProtocol::new(Params::new(2, 1, 2)), SymmetryMode::Full);
+        assert!(
+            sys.symmetry_group_order() >= 4,
+            "the seal cache needs |G| >= 4"
+        );
+        // A few steps in, so the candidates carry observer and checker
+        // content.
+        let mut s = sys.initial();
+        for _ in 0..4 {
+            s = sys.successors(&s).pop().expect("MSI has successors").1;
+        }
+        let fper = Fingerprinter::from_seeds([1, 2, 3, 4]);
+        let mut scratch = sys.expand_scratch();
+        let mut admit_all = |fps: &[u128], keep: &mut Vec<bool>| {
+            keep.clear();
+            keep.resize(fps.len(), true);
+        };
+        let mut first = Vec::new();
+        sys.expand_admitted(&s, &mut scratch, &fper, &mut admit_all, &mut first);
+        let mut second = Vec::new();
+        sys.expand_admitted(&s, &mut scratch, &fper, &mut admit_all, &mut second);
+        let hits = scratch
+            .get_mut::<SealScratch<<MsiProtocol as scv_protocol::Protocol>::State>>()
+            .expect("the system's own scratch")
+            .l1
+            .hits;
+        assert!(!second.is_empty());
+        assert!(hits as usize >= second.len(), "{hits} hits");
+        assert_eq!(first.len(), second.len());
+        for ((a1, _, fp1), (a2, state, fp2)) in first.iter().zip(&second) {
+            assert_eq!((a1, fp1), (a2, fp2));
+            assert_eq!(*fp2, fper.fp(state));
+            assert_eq!(state.encoding(), sys.canonical_encoding_of(state));
+        }
     }
 
     #[test]

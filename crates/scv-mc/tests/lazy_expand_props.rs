@@ -3,7 +3,7 @@
 //! The gate fingerprints a candidate through `FpParts` (protocol
 //! component iff unsealed, then the canonical encoding) *before* the
 //! product state exists, and under full symmetry it may take the
-//! fingerprint from the per-worker orbit-seal cache instead of
+//! fingerprint from the two-level orbit-seal cache instead of
 //! re-enumerating the group. Both shortcuts must be invisible: the
 //! fingerprint the admission probe saw has to equal the fingerprint of
 //! the state the engine then materializes and stores, and a cached

@@ -229,11 +229,14 @@ pub fn bucket_of(value: u64) -> usize {
     ((64 - value.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
-/// The inclusive upper bound of values mapped to a bucket.
+/// The inclusive upper bound of values mapped to a bucket. The last
+/// bucket is open-ended ([`bucket_of`] clamps every wider value into it),
+/// so its bound is `u64::MAX` and quantiles landing there clamp to the
+/// recorded max.
 pub fn bucket_bound(index: usize) -> u64 {
     if index == 0 {
         0
-    } else if index >= 63 {
+    } else if index >= HIST_BUCKETS - 1 {
         u64::MAX
     } else {
         (1u64 << index) - 1
@@ -446,7 +449,18 @@ mod tests {
 
     #[test]
     fn bucket_bounds_bracket_their_values() {
-        for v in [0u64, 1, 2, 3, 5, 100, 4096, 1 << 20] {
+        for v in [
+            0u64,
+            1,
+            2,
+            3,
+            5,
+            100,
+            4096,
+            1 << 20,
+            5_000_000_000,
+            u64::MAX,
+        ] {
             let b = bucket_of(v);
             assert!(v <= bucket_bound(b), "{v} <= bound({b})");
             if b > 0 {
@@ -472,6 +486,17 @@ mod tests {
         // p100 is clamped to the true max, not the bucket's bound.
         assert_eq!(s.quantile_bound(1.0), 100);
         assert_eq!(HistSnapshot::default().quantile_bound(0.5), 0);
+    }
+
+    #[test]
+    fn quantiles_past_the_last_bucket_clamp_to_the_max() {
+        // A 5 s span lands in the open-ended last bucket, so its p99 is
+        // the recorded value.
+        let h = Histogram::default();
+        h.record(5_000_000_000);
+        let s = h.snapshot();
+        assert_eq!(s.quantile_bound(0.99), 5_000_000_000);
+        assert_eq!(s.quantile(0.99), 5_000_000_000.0);
     }
 
     #[test]

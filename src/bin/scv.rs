@@ -223,14 +223,8 @@ impl Args {
     }
 }
 
-/// Dispatch over the protocol zoo, monomorphizing `f` per protocol type.
-fn with_protocol<R>(name: &str, params: Params, f: &mut dyn FnMut(&str) -> R) -> Result<R, String> {
-    // The closure captures the protocol through thread-locals would be
-    // overkill; just dispatch explicitly below in each command instead.
-    let _ = (params, f);
-    Err(format!("unknown protocol {name}"))
-}
-
+/// Dispatch over the protocol zoo, monomorphizing `$body` per protocol
+/// type.
 macro_rules! dispatch {
     ($name:expr, $params:expr, |$p:ident| $body:expr) => {{
         let params = $params;
@@ -520,7 +514,6 @@ fn run(argv: &[String]) -> ExitCode {
     if args.checkpoint_every.is_some() && args.checkpoint.is_none() {
         eprintln!("warning: --checkpoint-every has no effect without --checkpoint PATH");
     }
-    let _ = with_protocol::<()>; // keep the helper referenced
 
     match cmd.as_str() {
         "verify" => dispatch!(proto_name, args.params(), |p| {
