@@ -212,11 +212,10 @@ fn main() {
                             );
                         }
                         // Counter movement attributable to the lazy run:
-                        // clones avoided, seal-cache traffic, arena bytes,
-                        // and the canonicalizer's fast-path/fallback split.
+                        // clones avoided, seal-cache traffic and the
+                        // canonicalizer's fast-path/fallback split.
                         for key in [
                             "mc.clones_avoided",
-                            "mc.arena_alloc_bytes",
                             "symmetry.seal_cache_hits",
                             "symmetry.seal_cache_misses",
                             "symmetry.seal_cache_l2_hits",

@@ -34,14 +34,15 @@
 use scv_descriptor::{Descriptor, IdNum, Symbol};
 use scv_graph::EdgeSet;
 use scv_types::{Op, OpKind};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// A generational handle to a (possibly already finalized) node record.
+/// Generations start at 1, so `Option<Handle>` packs into 8 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Handle {
     slot: u32,
-    gen: u32,
+    gen: NonZeroU32,
 }
 
 /// Why the checker rejected.
@@ -97,19 +98,29 @@ impl std::error::Error for ScError {}
 pub type ScVerdict = Result<(), ScError>;
 
 /// A growable bitset over slot indices (the reachability closure rows).
+/// Slots 0–63 live in an inline word; only a checker retaining more nodes
+/// than that spills the rest to the heap.
 #[derive(PartialEq, Eq, Debug, Default)]
-struct SlotSet(Vec<u64>);
+struct SlotSet {
+    low: u64,
+    /// Word `w` covers slots `64 * (w + 1)..64 * (w + 2)`.
+    spill: Vec<u64>,
+}
 
-// Manual `Clone` so `clone_from` reuses the word buffer: closure rows are
+// Manual `Clone` so `clone_from` reuses the spill buffer: closure rows are
 // copied once per replayed candidate on the lazy expansion path, and the
 // derived impl would reallocate each row.
 impl Clone for SlotSet {
     fn clone(&self) -> Self {
-        SlotSet(self.0.clone())
+        SlotSet {
+            low: self.low,
+            spill: self.spill.clone(),
+        }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.0.clone_from(&source.0);
+        self.low = source.low;
+        self.spill.clone_from(&source.spill);
     }
 }
 
@@ -117,38 +128,52 @@ impl SlotSet {
     #[inline]
     fn get(&self, slot: u32) -> bool {
         let (w, b) = ((slot / 64) as usize, slot % 64);
-        self.0.get(w).is_some_and(|x| x & (1 << b) != 0)
+        let word = match w {
+            0 => self.low,
+            _ => self.spill.get(w - 1).copied().unwrap_or(0),
+        };
+        word & (1 << b) != 0
     }
 
     #[inline]
     fn set(&mut self, slot: u32) {
         let (w, b) = ((slot / 64) as usize, slot % 64);
-        if self.0.len() <= w {
-            self.0.resize(w + 1, 0);
+        if w == 0 {
+            self.low |= 1 << b;
+            return;
         }
-        self.0[w] |= 1 << b;
+        if self.spill.len() < w {
+            self.spill.resize(w, 0);
+        }
+        self.spill[w - 1] |= 1 << b;
     }
 
     #[inline]
     fn clear(&mut self, slot: u32) {
         let (w, b) = ((slot / 64) as usize, slot % 64);
-        if let Some(x) = self.0.get_mut(w) {
+        let word = match w {
+            0 => Some(&mut self.low),
+            _ => self.spill.get_mut(w - 1),
+        };
+        if let Some(x) = word {
             *x &= !(1 << b);
         }
     }
 
     #[inline]
     fn or_with(&mut self, other: &SlotSet) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
+        self.low |= other.low;
+        if self.spill.len() < other.spill.len() {
+            self.spill.resize(other.spill.len(), 0);
         }
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        for (a, b) in self.spill.iter_mut().zip(&other.spill) {
             *a |= b;
         }
     }
 
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &x)| {
+        let words = std::iter::once(self.low).chain(self.spill.iter().copied());
+        words.enumerate().flat_map(|(w, x)| {
             let mut bits = x;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -159,6 +184,69 @@ impl SlotSet {
                 Some(w as u32 * 64 + b)
             })
         })
+    }
+}
+
+/// A small map kept as a vector sorted by key: the checker's per-processor
+/// and per-block tables hold one or two entries each, which a `BTreeMap`
+/// stores in a node allocation several times their size. Nothing depends
+/// on the iteration order: the canonical encoding sorts the entries after
+/// renaming their keys.
+#[derive(PartialEq, Eq, Debug)]
+struct VecMap<K, V>(Vec<(K, V)>);
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap(Vec::new())
+    }
+}
+
+// Manual `Clone` so `clone_from` reuses the entry buffer.
+impl<K: Clone, V: Clone> Clone for VecMap<K, V> {
+    fn clone(&self) -> Self {
+        VecMap(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
+
+impl<K: Ord + Copy, V> VecMap<K, V> {
+    fn get(&self, key: K) -> Option<&V> {
+        let i = self.0.binary_search_by_key(&key, |e| e.0).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The entry for `key`, inserted as `new()` if absent.
+    fn entry_or(&mut self, key: K, new: impl FnOnce() -> V) -> &mut V {
+        let i = match self.0.binary_search_by_key(&key, |e| e.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.insert(i, (key, new()));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    /// Set `key` to `value`, returning the value it replaced.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.0.binary_search_by_key(&key, |e| e.0) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, v)| v)
     }
 }
 
@@ -175,9 +263,30 @@ enum HeadState {
     ConfirmedGone,
 }
 
+/// One entry of a node's handle list ([`NodeRec::links`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Link {
+    /// `⊥` LD: a retained store of the same block this node has a forced
+    /// edge to (pruned when the store is finalized).
+    BotForced(Handle),
+    /// ST: the most recent inheriting LD of a processor, awaiting this
+    /// store's ST-order successor.
+    Heir(u8, Handle),
+    /// A target of this node's *forced* edges (retained nodes only).
+    ForcedOut(Handle),
+}
+
+impl Link {
+    fn target(self) -> Handle {
+        match self {
+            Link::BotForced(h) | Link::Heir(_, h) | Link::ForcedOut(h) => h,
+        }
+    }
+}
+
 #[derive(PartialEq, Eq, Debug)]
 struct NodeRec {
-    gen: u32,
+    gen: NonZeroU32,
     label: Op,
     /// Monotone birth index; only relative order among retained nodes is
     /// used (the canonical encoding ranks it away).
@@ -209,19 +318,15 @@ struct NodeRec {
     /// `⊥` LD: resolved verdict once the block's first store was
     /// confirmed while this node was retained (`None` = still open).
     bot_resolved: Option<bool>,
-    /// `⊥` LD: retained stores of the same block this node has forced
-    /// edges to (pruned when a target is finalized).
-    bot_forced: Vec<Handle>,
     /// ST: next node in ST order, once known (`None` + `succ_dead` if the
     /// successor was finalized).
     sto_succ: Option<Handle>,
     /// See [`NodeRec::sto_succ`].
     succ_dead: bool,
-    /// ST: the most recent inheriting LD per processor awaiting this
-    /// store's ST-order successor.
-    heirs: Vec<(u8, Handle)>,
-    /// Targets of this node's *forced* edges (retained nodes only).
-    forced_out: Vec<Handle>,
+    /// The node's ⊥-load forced targets, waiting heirs and forced-edge
+    /// targets in one list (one allocation, usually none), each kind in
+    /// the order it was added.
+    links: Vec<Link>,
     /// Reachability closure: slot `s` present iff the node in slot `s` is
     /// reachable from this node in the (contracted) witness graph.
     reach: SlotSet,
@@ -230,8 +335,7 @@ struct NodeRec {
 // Manual `Clone` so `clone_from` reuses the record's edge lists and
 // closure row. The checker is replayed into scratch copies once per
 // candidate transition on the lazy expansion path; with the derived impl
-// every replay reallocated `bot_forced`/`heirs`/`forced_out`/`reach` for
-// every retained record.
+// every replay reallocated `links`/`reach` for every retained record.
 impl Clone for NodeRec {
     fn clone(&self) -> Self {
         NodeRec {
@@ -250,11 +354,9 @@ impl Clone for NodeRec {
             waiting_succ: self.waiting_succ,
             superseded: self.superseded,
             bot_resolved: self.bot_resolved,
-            bot_forced: self.bot_forced.clone(),
             sto_succ: self.sto_succ,
             succ_dead: self.succ_dead,
-            heirs: self.heirs.clone(),
-            forced_out: self.forced_out.clone(),
+            links: self.links.clone(),
             reach: self.reach.clone(),
         }
     }
@@ -275,11 +377,9 @@ impl Clone for NodeRec {
         self.waiting_succ = source.waiting_succ;
         self.superseded = source.superseded;
         self.bot_resolved = source.bot_resolved;
-        self.bot_forced.clone_from(&source.bot_forced);
         self.sto_succ = source.sto_succ;
         self.succ_dead = source.succ_dead;
-        self.heirs.clone_from(&source.heirs);
-        self.forced_out.clone_from(&source.forced_out);
+        self.links.clone_from(&source.links);
         self.reach.clone_from(&source.reach);
     }
 }
@@ -293,6 +393,27 @@ impl NodeRec {
     }
     fn is_bottom_load(&self) -> bool {
         self.is_load() && self.label.value.is_bottom()
+    }
+
+    fn bot_forced(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.links.iter().filter_map(|l| match *l {
+            Link::BotForced(x) => Some(x),
+            _ => None,
+        })
+    }
+
+    fn heirs(&self) -> impl Iterator<Item = (u8, Handle)> + '_ {
+        self.links.iter().filter_map(|l| match *l {
+            Link::Heir(p, x) => Some((p, x)),
+            _ => None,
+        })
+    }
+
+    fn forced_out(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.links.iter().filter_map(|l| match *l {
+            Link::ForcedOut(x) => Some(x),
+            _ => None,
+        })
     }
 }
 
@@ -334,13 +455,15 @@ pub struct ScChecker {
     birth: u64,
     position: usize,
     /// Per-processor program-order tallies.
-    proc_tally: BTreeMap<u8, OrderTally>,
+    proc_tally: VecMap<u8, OrderTally>,
     /// Per-block ST-order tallies and head state.
-    block_tally: BTreeMap<u8, (OrderTally, HeadState)>,
+    block_tally: VecMap<u8, (OrderTally, HeadState)>,
     /// Most recent `⊥` load per (processor, block).
-    last_bot: BTreeMap<(u8, u8), Handle>,
+    last_bot: VecMap<(u8, u8), Handle>,
     stats: ScStats,
-    rejected: Option<ScError>,
+    /// The rejection, once raised (boxed: set only on the absorbing
+    /// reject).
+    rejected: Option<Box<ScError>>,
 }
 
 // Manual `Clone` so `clone_from` reuses the target's allocations
@@ -392,9 +515,9 @@ impl ScChecker {
             next_gen: 1,
             birth: 0,
             position: 0,
-            proc_tally: BTreeMap::new(),
-            block_tally: BTreeMap::new(),
-            last_bot: BTreeMap::new(),
+            proc_tally: VecMap::default(),
+            block_tally: VecMap::default(),
+            last_bot: VecMap::default(),
             stats: ScStats::default(),
             rejected: None,
         }
@@ -433,7 +556,7 @@ impl ScChecker {
     /// rejected (subsequent calls return the same error).
     pub fn step(&mut self, sym: &Symbol) -> ScVerdict {
         if let Some(e) = &self.rejected {
-            return Err(e.clone());
+            return Err(ScError::clone(e));
         }
         let pos = self.position;
         self.position += 1;
@@ -446,7 +569,7 @@ impl ScChecker {
         }
         let result = self.step_inner(sym, pos);
         if let Err(e) = &result {
-            self.rejected = Some(e.clone());
+            self.rejected = Some(Box::new(e.clone()));
             if scv_telemetry::recorder_enabled() {
                 scv_telemetry::recorder::instant(
                     scv_telemetry::recorder::InstantKind::CheckerReject,
@@ -522,7 +645,7 @@ impl ScChecker {
     /// run end?" at any point and keep streaming afterwards.
     pub fn check_end(&self) -> ScVerdict {
         if let Some(e) = &self.rejected {
-            return Err(e.clone());
+            return Err(ScError::clone(e));
         }
         let reject = |kind: ScErrorKind| {
             Err(ScError {
@@ -547,7 +670,7 @@ impl ScChecker {
         let mut block_tally = self.block_tally.clone();
         for &h in &retained {
             let r = self.rec(h);
-            let t = proc_tally.entry(r.label.proc.0).or_default();
+            let t = proc_tally.entry_or(r.label.proc.0, OrderTally::default);
             if !r.po_in {
                 t.bump_in();
             }
@@ -555,9 +678,7 @@ impl ScChecker {
                 t.bump_out();
             }
             if r.is_store() {
-                let (t, head) = block_tally
-                    .entry(r.label.block.0)
-                    .or_insert((OrderTally::default(), HeadState::Unknown));
+                let (t, head) = block_tally.entry_or(r.label.block.0, Default::default);
                 if !r.sto_in {
                     t.bump_in();
                     if *head == HeadState::Unknown {
@@ -605,9 +726,9 @@ impl ScChecker {
             }
             if r.is_bottom_load() && !r.superseded {
                 let block = r.label.block.0;
-                let ok = match block_tally.get(&block) {
+                let ok = match block_tally.get(block) {
                     None => true, // no stores to the block: vacuous
-                    Some((_, HeadState::Alive(head))) => r.bot_forced.contains(head),
+                    Some((_, HeadState::Alive(head))) => r.links.contains(&Link::BotForced(*head)),
                     Some((_, HeadState::ConfirmedGone)) => r.bot_resolved == Some(true),
                     Some((_, HeadState::Unknown)) => {
                         unreachable!("tally passed: chain head exists")
@@ -717,13 +838,13 @@ impl ScChecker {
         // panicking).
         let mut rank_by_slot: Vec<(u32, u64)> = vec![(0, u64::MAX); self.slots.len()];
         for (i, &(_, h)) in retained.iter().enumerate() {
-            rank_by_slot[h.slot as usize] = (h.gen, i as u64);
+            rank_by_slot[h.slot as usize] = (h.gen.get(), i as u64);
         }
         let tok = |h: Option<Handle>| -> u64 {
             h.map_or(u64::MAX, |h| {
                 let (gen, r) = rank_by_slot[h.slot as usize];
                 debug_assert!(
-                    r != u64::MAX && gen == h.gen,
+                    r != u64::MAX && gen == h.gen.get(),
                     "token references a non-retained handle"
                 );
                 r
@@ -788,19 +909,19 @@ impl ScChecker {
             emit!(tok(r.forced_target));
             emit!(tok(r.sto_succ));
             bf.clear();
-            bf.extend(r.bot_forced.iter().map(|&x| tok(Some(x))));
+            bf.extend(r.bot_forced().map(|x| tok(Some(x))));
             bf.sort_unstable();
             emit!(bf.len() as u64);
             emit_all!(&bf);
             heirs.clear();
-            heirs.extend(r.heirs.iter().map(|&(p, x)| (re_p(p), tok(Some(x)))));
+            heirs.extend(r.heirs().map(|(p, x)| (re_p(p), tok(Some(x)))));
             heirs.sort_unstable();
             emit!(heirs.len() as u64);
             for &(p, x) in &heirs {
                 emit!((p as u64) << 32 | x);
             }
             fo.clear();
-            fo.extend(r.forced_out.iter().map(|&x| tok(Some(x))));
+            fo.extend(r.forced_out().map(|x| tok(Some(x))));
             fo.sort_unstable();
             emit!(fo.len() as u64);
             emit_all!(&fo);
@@ -816,7 +937,7 @@ impl ScChecker {
             emit_all!(&reach_ranks);
         }
         // Tallies are keyed by processor/block number: rename the keys and
-        // re-sort so emission order matches the renamed BTreeMaps.
+        // re-sort so emission order matches the renamed maps.
         let mut ptally: Vec<u64> = self
             .proc_tally
             .iter()
@@ -859,7 +980,7 @@ impl ScChecker {
     // ----- node lifecycle -------------------------------------------------
 
     fn alloc_node(&mut self, op: Op, pos: usize) -> Result<Handle, ScError> {
-        let gen = self.next_gen;
+        let gen = NonZeroU32::new(self.next_gen).expect("generations start at 1");
         self.next_gen += 1;
         let birth = self.birth;
         self.birth += 1;
@@ -879,11 +1000,9 @@ impl ScChecker {
             waiting_succ: false,
             superseded: false,
             bot_resolved: None,
-            bot_forced: Vec::new(),
             sto_succ: None,
             succ_dead: false,
-            heirs: Vec::new(),
-            forced_out: Vec::new(),
+            links: Vec::new(),
             reach: SlotSet::default(),
         };
         let slot = match self.free_slots.pop() {
@@ -908,11 +1027,9 @@ impl ScChecker {
     }
 
     fn on_node_created(&mut self, h: Handle, op: Op) {
-        self.proc_tally.entry(op.proc.0).or_default();
+        self.proc_tally.entry_or(op.proc.0, OrderTally::default);
         if op.is_store() {
-            self.block_tally
-                .entry(op.block.0)
-                .or_insert((OrderTally::default(), HeadState::Unknown));
+            self.block_tally.entry_or(op.block.0, Default::default);
         }
         if op.is_load() && op.value.is_bottom() {
             // Supersede the previous ⊥ load of this (processor, block).
@@ -974,8 +1091,10 @@ impl ScChecker {
             });
         }
         if self.rec(h).is_store() {
-            let heirs = std::mem::take(&mut self.rec_mut(h).heirs);
-            for (_, j) in heirs {
+            let r = self.rec_mut(h);
+            let heirs: Vec<Handle> = r.heirs().map(|(_, j)| j).collect();
+            r.links.retain(|l| !matches!(l, Link::Heir(..)));
+            for j in heirs {
                 if self.rec_opt(j).is_some() {
                     self.rec_mut(j).waiting_succ = false;
                     self.try_finalize(j);
@@ -1011,7 +1130,9 @@ impl ScChecker {
 
         // Tally order bits (the "counted when removed from the active
         // graph" step of the paper's checker).
-        let t = self.proc_tally.entry(r.label.proc.0).or_default();
+        let t = self
+            .proc_tally
+            .entry_or(r.label.proc.0, OrderTally::default);
         if !r.po_in {
             t.bump_in();
         }
@@ -1021,10 +1142,7 @@ impl ScChecker {
         if r.is_store() {
             let mut confirm_head = false;
             {
-                let (t, head) = self
-                    .block_tally
-                    .entry(r.label.block.0)
-                    .or_insert((OrderTally::default(), HeadState::Unknown));
+                let (t, head) = self.block_tally.entry_or(r.label.block.0, Default::default);
                 if !r.sto_in {
                     t.bump_in();
                     // No future in-edge can arrive: this is the confirmed
@@ -1061,7 +1179,7 @@ impl ScChecker {
                     .map(|(x, _)| x)
                     .collect();
                 for j in loads {
-                    let sat = self.rec(j).bot_forced.contains(&h);
+                    let sat = self.rec(j).links.contains(&Link::BotForced(h));
                     self.rec_mut(j).bot_resolved = Some(sat);
                 }
             }
@@ -1070,7 +1188,7 @@ impl ScChecker {
         // The paper's contraction rule, in reachability form: every
         // retained same-processor node that reaches `h` inherits `h`'s
         // forced edges.
-        if !r.forced_out.is_empty() {
+        if r.forced_out().next().is_some() {
             let preds: Vec<Handle> = self
                 .slots
                 .iter()
@@ -1090,7 +1208,7 @@ impl ScChecker {
                 .map(|(x, _)| x)
                 .collect();
             for g in preds {
-                for &j in &r.forced_out {
+                for j in r.forced_out() {
                     if self.rec_opt(j).is_some() {
                         self.note_forced(g, j);
                     }
@@ -1112,9 +1230,7 @@ impl ScChecker {
                 n.forced_target = None;
                 n.target_dead = true;
             }
-            n.bot_forced.retain(|&x| x != h);
-            n.forced_out.retain(|&x| x != h);
-            n.heirs.retain(|&(_, x)| x != h);
+            n.links.retain(|l| l.target() != h);
         }
         self.slots[h.slot as usize] = None;
         self.free_slots.push(h.slot);
@@ -1190,13 +1306,12 @@ impl ScChecker {
             // Initialize forced-edge-on-path-to for every waiting heir.
             // The heirs stay registered: a later load inheriting from `u`
             // may still supersede them (program-order-path proviso).
-            let heirs = self.rec(u).heirs.clone();
-            for (_, j) in &heirs {
-                let j = *j;
+            let heirs: Vec<Handle> = self.rec(u).heirs().map(|(_, j)| j).collect();
+            for j in heirs {
                 if self.rec_opt(j).is_none() {
                     continue;
                 }
-                let already_forced = self.rec(j).forced_out.contains(&v);
+                let already_forced = self.rec(j).links.contains(&Link::ForcedOut(v));
                 {
                     let rj = self.rec_mut(j);
                     rj.forced_target = Some(v);
@@ -1229,7 +1344,7 @@ impl ScChecker {
             };
             match succ {
                 Some(k) => {
-                    let already_forced = self.rec(v).forced_out.contains(&k);
+                    let already_forced = self.rec(v).links.contains(&Link::ForcedOut(k));
                     let rv = self.rec_mut(v);
                     rv.forced_target = Some(k);
                     if already_forced {
@@ -1254,11 +1369,11 @@ impl ScChecker {
             let prev = {
                 let ru = self.rec_mut(u);
                 let prev = ru
-                    .heirs
+                    .links
                     .iter()
-                    .position(|(p, _)| *p == proc)
-                    .map(|i| ru.heirs.remove(i).1);
-                ru.heirs.push((proc, v));
+                    .position(|l| matches!(*l, Link::Heir(p, _) if p == proc))
+                    .map(|i| ru.links.remove(i).target());
+                ru.links.push(Link::Heir(proc, v));
                 prev
             };
             if let Some(prev) = prev {
@@ -1281,8 +1396,8 @@ impl ScChecker {
     fn note_forced(&mut self, u: Handle, v: Handle) {
         {
             let ru = self.rec_mut(u);
-            if !ru.forced_out.contains(&v) {
-                ru.forced_out.push(v);
+            if !ru.links.contains(&Link::ForcedOut(v)) {
+                ru.links.push(Link::ForcedOut(v));
             }
             if ru.forced_target == Some(v) {
                 ru.forced_done = true;
@@ -1295,8 +1410,9 @@ impl ScChecker {
                     None => (false, false),
                 }
             };
-            if is_st && same_block && !self.rec(u).bot_forced.contains(&v) {
-                self.rec_mut(u).bot_forced.push(v);
+            let link = Link::BotForced(v);
+            if is_st && same_block && !self.rec(u).links.contains(&link) {
+                self.rec_mut(u).links.push(link);
             }
         }
     }
@@ -1835,6 +1951,66 @@ mod closure_tests {
         b.canonical_encoding(&mut eb, &mut IdCanon::new(2));
         // The store's value still distinguishes the states.
         assert_ne!(ea, eb);
+    }
+
+    /// The inline-word-plus-spill reach row behaves as a set of slot
+    /// indices: random set, clear, union and iteration on slots on both
+    /// sides of 64 (up to three spill words) agree with a `BTreeSet`.
+    #[test]
+    fn slot_set_matches_a_btreeset_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        let mut rng = SmallRng::seed_from_u64(64);
+        let mut sets: Vec<(SlotSet, BTreeSet<u32>)> = (0..3).map(|_| Default::default()).collect();
+        for _ in 0..20_000 {
+            let i = rng.gen_range(0..sets.len());
+            // Mostly below 64, where the inline word lives.
+            let slot = if rng.gen_bool(0.6) {
+                rng.gen_range(0..64)
+            } else {
+                rng.gen_range(64..256)
+            };
+            match rng.gen_range(0..4) {
+                0 => {
+                    sets[i].0.set(slot);
+                    sets[i].1.insert(slot);
+                }
+                1 => {
+                    sets[i].0.clear(slot);
+                    sets[i].1.remove(&slot);
+                }
+                2 => {
+                    let j = rng.gen_range(0..sets.len());
+                    let other = sets[j].clone();
+                    sets[i].0.or_with(&other.0);
+                    sets[i].1.extend(other.1);
+                }
+                _ => {
+                    let j = rng.gen_range(0..sets.len());
+                    let source = sets[j].0.clone();
+                    sets[i].0.clone_from(&source);
+                    sets[i].1 = sets[j].1.clone();
+                }
+            }
+            let (set, model) = &sets[i];
+            assert_eq!(set.get(slot), model.contains(&slot));
+            assert!(set.iter().eq(model.iter().copied()));
+        }
+        assert!(sets.iter().any(|(set, _)| !set.spill.is_empty()));
+    }
+
+    /// Layout pins: these sizes are multiplied by every stored product
+    /// state, so growth should be a deliberate choice.
+    #[test]
+    fn checker_layout_stays_lean() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<Handle>>(), 8);
+        assert!(size_of::<SlotSet>() <= 32);
+        assert_eq!(size_of::<Link>(), 12);
+        assert!(size_of::<NodeRec>() <= 104, "{}", size_of::<NodeRec>());
+        assert!(size_of::<ScChecker>() <= 192, "{}", size_of::<ScChecker>());
     }
 
     #[test]

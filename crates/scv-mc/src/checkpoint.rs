@@ -6,8 +6,8 @@
 //! mode, so a mismatched resume is rejected up front), the fingerprint
 //! seeds, the seen-set, the parent-edge log, the running totals, and the
 //! frontier as `(fingerprint, depth)` pairs. Frontier *states* are not
-//! serialized — product states hold observer/checker machines and arena
-//! encodings whose layout is an implementation detail; instead resume
+//! serialized — product states hold observer/checker machines whose
+//! layout is an implementation detail; instead resume
 //! reconstructs each frontier state by replaying its parent chain of
 //! [`Action`]s from the initial state (see `VerifySystem` in the verify
 //! layer), fingerprint-checking every replayed step.

@@ -50,7 +50,6 @@ pub use mc::{
 pub use seen::StripedSeen;
 pub use sip::{Sip, SipBuild, SipHasher13};
 pub use verify::{
-    verify_protocol, EncRef, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
-    VerifySystem,
+    verify_protocol, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState, VerifySystem,
 };
 pub use ws::{bfs_controlled, ws_search, ws_search_controlled, WorkerStats, DEFAULT_BATCH};

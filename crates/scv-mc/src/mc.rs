@@ -2,11 +2,11 @@
 //! fingerprints, search limits, statistics, results and checkpoints. The
 //! search itself is the one core in [`crate::ws`].
 
-use std::hash::{BuildHasher, Hash, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::time::Duration;
 
 use crate::control::InterruptReason;
-use crate::sip::SipBuild;
+use crate::sip::{SipBuild, SipHasher13};
 
 /// 128-bit state fingerprints for the seen-set.
 ///
@@ -65,7 +65,9 @@ impl Fingerprinter {
     /// [`TransitionSystem::expand_admitted`] must ensure the value they
     /// hash here is hash-identical to the `State` they would materialize.
     pub fn fp<S: Hash>(&self, s: &S) -> u128 {
-        (self.a.hash_one(s) as u128) << 64 | self.b.hash_one(s) as u128
+        let mut lanes = Lanes(self.a.build_hasher(), self.b.build_hasher());
+        s.hash(&mut lanes);
+        (lanes.0.finish() as u128) << 64 | lanes.1.finish() as u128
     }
 
     /// A half-width fingerprint (one hasher pass instead of two) for
@@ -78,12 +80,51 @@ impl Fingerprinter {
     }
 }
 
+/// Both fingerprint lanes fed in one pass over the hashed value, each
+/// exactly as its own `hash_one` would feed it (every method [`Sip`]
+/// overrides is forwarded, so its little-endian paths are kept). A
+/// product state reseals its encoding whenever it is hashed, so one pass
+/// means one seal.
+///
+/// [`Sip`]: crate::sip::Sip
+struct Lanes(SipHasher13, SipHasher13);
+
+impl Hasher for Lanes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+        self.1.write(bytes);
+    }
+    fn write_u16(&mut self, x: u16) {
+        self.0.write_u16(x);
+        self.1.write_u16(x);
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.0.write_u32(x);
+        self.1.write_u32(x);
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0.write_u64(x);
+        self.1.write_u64(x);
+    }
+    fn write_u128(&mut self, x: u128) {
+        self.0.write_u128(x);
+        self.1.write_u128(x);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.0.write_usize(x);
+        self.1.write_usize(x);
+    }
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
 /// Opaque per-worker scratch space for [`TransitionSystem::expand_admitted`].
 ///
 /// The search core obtains one per worker via [`TransitionSystem::expand_scratch`]
 /// and thread it through every expansion on that worker; what lives inside
 /// is the system's business (the product system keeps replay copies of the
-/// observer/checker, encoding arenas, and its orbit-seal cache here).
+/// observer/checker, seal buffers, and its orbit-seal cache here).
 /// Systems that don't override the lazy path use [`ExpandScratch::none`].
 pub struct ExpandScratch(Box<dyn std::any::Any + Send>);
 
@@ -583,5 +624,21 @@ mod tests {
             f3.fp(&7u64),
             "independent fingerprinters should disagree"
         );
+    }
+
+    /// One pass over both lanes gives each lane's own `hash_one` value,
+    /// for every write shape a state's hash issues.
+    #[test]
+    fn fingerprint_lanes_match_separate_hashing() {
+        fn separately<T: Hash>(f: &Fingerprinter, v: &T) -> u128 {
+            (f.a.hash_one(v) as u128) << 64 | f.b.hash_one(v) as u128
+        }
+        let f = Fingerprinter::from_seeds([3, 1, 4, 1]);
+        let words: &[u64] = &[1, 2, 3, u64::MAX];
+        let mixed = ("state", 0x1234u16, Some(5u128), vec![(1u8, 2usize)]);
+        assert_eq!(f.fp(&7u8), separately(&f, &7u8));
+        assert_eq!(f.fp(&-9i32), separately(&f, &-9i32));
+        assert_eq!(f.fp(&words), separately(&f, &words));
+        assert_eq!(f.fp(&mixed), separately(&f, &mixed));
     }
 }

@@ -124,70 +124,20 @@ impl SymmetryMode {
 /// orbit-minimum representative.
 const GROUP_CAP: usize = 1024;
 
-/// An arena-interned canonical encoding: a view into a shared chunk.
-///
-/// Admission-gated expansion freezes *one* `Arc<[u64]>` per parent
-/// expansion, covering the encodings of every admitted successor, instead
-/// of allocating a `Vec<u64>` per successor. Equality and hashing go
-/// through the viewed slice, so an interned encoding is indistinguishable
-/// from an owned one — in particular it hashes exactly like the
-/// `Vec<u64>` it replaced (both are length-prefixed slice hashes).
-#[derive(Clone, Debug)]
-pub struct EncRef {
-    chunk: Arc<[u64]>,
-    start: u32,
-    len: u32,
-}
-
-impl EncRef {
-    /// Intern a standalone encoding in its own chunk (initial state and
-    /// eager-mode successors).
-    fn owned(enc: &[u64]) -> Self {
-        EncRef {
-            chunk: Arc::from(enc),
-            start: 0,
-            len: enc.len() as u32,
-        }
-    }
-
-    /// A view into an already-frozen chunk.
-    fn view(chunk: &Arc<[u64]>, start: usize, len: usize) -> Self {
-        debug_assert!(start + len <= chunk.len());
-        EncRef {
-            chunk: Arc::clone(chunk),
-            start: start as u32,
-            len: len as u32,
-        }
-    }
-
-    /// The encoding payload.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.chunk[self.start as usize..(self.start + self.len) as usize]
-    }
-}
-
-impl PartialEq for EncRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for EncRef {}
-
-impl Hash for EncRef {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
 /// A product state: the protocol state paired with the live observer and
-/// checker. Equality and hashing go through the canonical encodings, so
+/// checker. Equality and hashing go through the canonical encoding, so
 /// two product states that behave identically compare equal — this is
 /// what makes the composed state space finite. Under symmetry reduction
 /// the encoding is additionally the *orbit minimum* over the symmetry
 /// group, so all members of an orbit compare equal; the stored components
 /// remain the genuinely reached member (not the representative), which
 /// keeps counterexample paths valid runs of the unreduced system.
+///
+/// The encoding is not stored: the search core keys everything by the
+/// fingerprint taken at admission, so a state at rest holds only its
+/// components. [`VerifyState::encoding`], `Hash` and `Eq` reseal on
+/// demand. A symmetry-reduced state keeps a shared handle to its system's
+/// seal core for that, since its encoding depends on the group.
 #[derive(Clone)]
 pub struct VerifyState<PS> {
     /// The protocol component.
@@ -196,25 +146,26 @@ pub struct VerifyState<PS> {
     pub obs: Observer,
     /// The checker component.
     pub chk: ScChecker,
-    /// Rejection raised while reaching this state, if any.
-    pub error: Option<RejectReason>,
-    enc: EncRef,
-    /// True when `enc` is an orbit-canonical encoding that already covers
-    /// the protocol component (hash/eq then ignore `proto`).
-    sym: bool,
+    /// Rejection raised while reaching this state, if any (boxed: set
+    /// only on the absorbing reject).
+    pub error: Option<Box<RejectReason>>,
+    /// The seal core when the encoding is an orbit minimum that already
+    /// covers the protocol component (hash/eq then ignore `proto`).
+    group: Option<Arc<dyn Reseal<PS>>>,
 }
 
 impl<PS> VerifyState<PS> {
-    /// The canonical encoding this state hashes and compares through.
-    pub fn encoding(&self) -> &[u64] {
-        self.enc.as_slice()
-    }
-
-    fn fp_parts(&self) -> FpParts<'_, PS> {
-        FpParts {
-            proto: (!self.sym).then_some(&self.proto),
-            enc: self.encoding(),
+    /// The canonical encoding this state hashes and compares through,
+    /// resealed from the components.
+    pub fn encoding(&self) -> Vec<u64> {
+        let mut enc = Vec::with_capacity(160);
+        match &self.group {
+            Some(core) => core.reseal(&self.proto, &self.obs, &self.chk, &mut enc),
+            None => {
+                with_thread_bufs(|bufs| seal_plain(&self.obs, &self.chk, &mut bufs.ids, &mut enc))
+            }
         }
+        enc
     }
 }
 
@@ -238,13 +189,11 @@ impl<PS: Hash> Hash for FpParts<'_, PS> {
 
 impl<PS: Eq> PartialEq for VerifyState<PS> {
     fn eq(&self, other: &Self) -> bool {
-        debug_assert_eq!(self.sym, other.sym, "mixed-seal comparison");
-        let base = self.enc == other.enc && self.error == other.error;
-        if self.sym {
-            base
-        } else {
-            base && self.proto == other.proto
-        }
+        let sym = self.group.is_some();
+        debug_assert_eq!(sym, other.group.is_some(), "mixed-seal comparison");
+        self.error == other.error
+            && (sym || self.proto == other.proto)
+            && self.encoding() == other.encoding()
     }
 }
 
@@ -252,7 +201,12 @@ impl<PS: Eq> Eq for VerifyState<PS> {}
 
 impl<PS: Hash> Hash for VerifyState<PS> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.fp_parts().hash(state);
+        let enc = self.encoding();
+        FpParts {
+            proto: self.group.is_none().then_some(&self.proto),
+            enc: &enc,
+        }
+        .hash(state);
     }
 }
 
@@ -289,9 +243,9 @@ const SEAL_L2_STRIPE_CAP: usize = 1 << 14;
 /// The shared second-level orbit-seal cache, living in the
 /// [`VerifySystem`] so every worker (and every slice of a stop-and-go
 /// run) sees it: identity-encoding key → orbit-minimum fingerprint. It
-/// holds fingerprints only, never encodings, so it keeps no arena chunk
-/// alive; a hit skips the group enumeration, and the rare admitted hit
-/// reseals from scratch at freeze time.
+/// holds fingerprints only, never encodings; a hit skips the group
+/// enumeration, and an admitted hit needs nothing more, since states store
+/// no encoding.
 ///
 /// Keys are [`Fingerprinter::fp64`] values and therefore seed-dependent;
 /// `seed_tag` folds the fingerprinter seeds, and a mismatch (a new search
@@ -445,9 +399,9 @@ impl SealCacheL1 {
     }
 }
 
-/// Reusable work buffers of [`VerifySystem::seal_into`]: the aux-ID
-/// renaming, the orbit-minimization incumbent and candidate, and the
-/// sort-based canonicalization scratch.
+/// Reusable work buffers of [`SealCore::seal_into`]: the aux-ID renaming,
+/// the orbit-minimization incumbent and candidate, and the sort-based
+/// canonicalization scratch.
 struct SealBufs {
     /// Aux-ID renaming for the identity encodings (no location map —
     /// `'static` is the no-borrow case).
@@ -468,8 +422,8 @@ impl SealBufs {
     }
 }
 
-/// Run `f` on this thread's [`SealBufs`] — the scratch of the eager seal
-/// path (the lazy path carries its own in [`SealScratch`]).
+/// Run `f` on this thread's [`SealBufs`] — the scratch of every seal off
+/// the lazy path (which carries its own in [`SealScratch`]).
 fn with_thread_bufs<R>(f: impl FnOnce(&mut SealBufs) -> R) -> R {
     thread_local! {
         static BUFS: std::cell::RefCell<SealBufs> = std::cell::RefCell::new(SealBufs::new());
@@ -477,84 +431,38 @@ fn with_thread_bufs<R>(f: impl FnOnce(&mut SealBufs) -> R) -> R {
     BUFS.with(|cell| f(&mut cell.borrow_mut()))
 }
 
+/// The seal without symmetry: the aux-ID-canonical encodings of observer
+/// and checker, renamed through one [`scv_descriptor::IdCanon`] so product
+/// states differing only by an aux-ID permutation (which are bisimilar)
+/// seal identically. The protocol state is hashed natively alongside (see
+/// [`FpParts`]). It reads no system state, so a state without symmetry
+/// reseals from its own components.
+fn seal_plain(
+    obs: &Observer,
+    chk: &ScChecker,
+    ids: &mut scv_descriptor::IdCanon<'static>,
+    out: &mut Vec<u64>,
+) {
+    let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
+    ids.reset_with(obs.location_count());
+    obs.canonical_encoding(out, ids);
+    chk.canonical_encoding(out, ids);
+}
+
 /// An orbit-seal cache lookup keyed by a candidate's identity words (see
-/// [`VerifySystem::seal_into`]).
+/// [`SealCore::seal_into`]).
 type SealProbe<'a> = &'a mut dyn FnMut(&[u64]) -> Option<u128>;
 
-/// Sentinel for [`CandSlot::enc_len`]: the candidate's canonical encoding
-/// was *not* written to the scratch arena (its fingerprint came from the
-/// orbit-seal cache). If such a candidate is admitted — rare: a probe race
-/// between workers, or two transitions of one expansion reaching the same
-/// product state, since a cache hit normally means the state is already
-/// in the seen-set — it is resealed at freeze time.
-const ENC_UNSEALED: usize = usize::MAX;
-
-/// One replay slot of the lazy expansion scratch: the observer/checker
-/// copies (and protocol successor) for a single candidate transition,
-/// plus where its canonical encoding landed in the scratch arena.
+/// What every seal reads: the protocol, its effective symmetry group and
+/// the sort-based canonicalization plan. The system owns it behind an
+/// `Arc`, and every symmetry-reduced state it materializes holds a clone
+/// (as a [`Reseal`] handle) so it can reseal on demand.
 ///
-/// `proto`/`obs`/`chk` are `Option` so an admitted candidate's components
-/// can be *moved* into the materialized state with no extra copy; the
-/// next expansion re-fills an emptied slot with a fresh clone, and a
-/// still-full slot through allocation-reusing `clone_from`.
-struct CandSlot<PS> {
-    action: Action,
-    proto: Option<PS>,
-    obs: Option<Observer>,
-    chk: Option<ScChecker>,
-    /// The transition emitted no symbols, so the candidate's checker state
-    /// *is* the parent's: the slot's `chk` copy was skipped (encoding read
-    /// the parent directly) and materialization clones the parent instead.
-    chk_is_parent: bool,
-    error: Option<RejectReason>,
-    enc_start: usize,
-    enc_len: usize,
-}
-
-/// Per-worker scratch for admission-gated lazy expansion, carried by the
-/// search core inside an opaque [`ExpandScratch`]. Everything here is reused
-/// across expansions: the replay slots, the symbol and encoding buffers,
-/// and the L1 orbit-seal cache (per worker, hence lock-free).
-pub(crate) struct SealScratch<PS> {
-    slots: Vec<CandSlot<PS>>,
-    syms: Vec<Symbol>,
-    /// Reused transition-enumeration buffer (fed to
-    /// [`scv_protocol::Protocol::transitions_into`]).
-    trans: Vec<Transition<PS>>,
-    /// Concatenated candidate encodings for the current expansion.
-    enc: Vec<u64>,
-    /// Candidate fingerprints and the admission verdicts they received.
-    fps: Vec<u128>,
-    keep: Vec<bool>,
-    /// Freeze buffer: admitted encodings, compacted before interning.
-    frozen: Vec<u64>,
-    bufs: SealBufs,
-    l1: SealCacheL1,
-}
-
-impl<PS> SealScratch<PS> {
-    fn new() -> Self {
-        SealScratch {
-            slots: Vec::new(),
-            syms: Vec::new(),
-            trans: Vec::new(),
-            enc: Vec::with_capacity(1024),
-            fps: Vec::new(),
-            keep: Vec::new(),
-            frozen: Vec::with_capacity(1024),
-            bufs: SealBufs::new(),
-            l1: SealCacheL1::new(),
-        }
-    }
-}
-
-/// The product transition system for a protocol.
-///
-/// Built plain ([`VerifySystem::new`]) or with symmetry reduction
-/// ([`VerifySystem::with_symmetry`]); the reduction canonicalizes each
-/// product state to its orbit-minimum encoding before the seen-set sees
-/// its fingerprint, at every thread count.
-pub struct VerifySystem<P: Symmetry> {
+/// Aligned to a cache line so the `Arc` reference counts, which every
+/// materialized and dropped state updates, do not share a line with the
+/// fields the workers read on every expansion.
+#[repr(align(64))]
+struct SealCore<P> {
     protocol: P,
     /// Identity-first symmetry group; empty when reduction is off or the
     /// effective group is trivial.
@@ -563,146 +471,29 @@ pub struct VerifySystem<P: Symmetry> {
     /// full-enumeration reference path ([`SymmetryMode::FullEnum`], or a
     /// protocol with no sortable dimension).
     fast: Option<FastPlan>,
-    /// Shared second-level orbit-seal cache (see [`SealCacheL2`]).
-    l2: SealCacheL2,
-    /// The mode the system was built with (recorded in checkpoint files so
-    /// a resume under a different quotient is rejected up front).
-    mode: SymmetryMode,
-    /// Admission-gated lazy materialization (the default). `false` forces
-    /// the eager reference path in `expand_admitted`: every successor is
-    /// fully materialized before the seen-set probe — the pre-gating cost
-    /// profile, kept for differential testing and benchmarking.
-    lazy: bool,
 }
 
-impl<P: Symmetry> VerifySystem<P> {
-    /// Build the product system without symmetry reduction.
-    pub fn new(protocol: P) -> Self {
-        Self::with_symmetry(protocol, SymmetryMode::Off)
-    }
+/// A symmetry-reduced state's way back to its system's seal core: the
+/// protocol type erased, so [`VerifyState`] names only the protocol
+/// *state* type.
+trait Reseal<PS>: Send + Sync {
+    /// Append the state's canonical words to `out`, bypassing every seal
+    /// cache.
+    fn reseal(&self, proto: &PS, obs: &Observer, chk: &ScChecker, out: &mut Vec<u64>);
+}
 
-    /// Build the product system, quotienting by the protocol's symmetry
-    /// group as far as `mode` requests and the protocol declares sound.
-    pub fn with_symmetry(protocol: P, mode: SymmetryMode) -> Self {
-        let dims = mode.requested_dims().intersect(protocol.symmetry_dims());
-        let mut perms = Vec::new();
-        let mut fast = None;
-        if dims.any() {
-            let capped = SymPerm::capped_dims(protocol.params(), dims, GROUP_CAP);
-            if capped != dims && scv_telemetry::enabled() {
-                // The cap degraded the quotient: record by how much (the
-                // ratio of the requested group order to the enumerated
-                // one — an upper bound on the forfeited state reduction).
-                let requested = SymPerm::group_order(protocol.params(), dims) as f64;
-                let kept = SymPerm::group_order(protocol.params(), capped) as f64;
-                scv_telemetry::set_gauge("symmetry.cap_degradation", requested / kept);
-            }
-            let group = SymPerm::group(protocol.params(), capped, GROUP_CAP);
-            if group.len() > 1 {
-                debug_assert!(group[0].is_identity(), "group must lead with identity");
-                perms = group
-                    .into_iter()
-                    .map(|perm| {
-                        let (locs, locs_inv) = location_maps(&protocol, &perm);
-                        PermEntry {
-                            perm,
-                            locs,
-                            locs_inv,
-                        }
-                    })
-                    .collect();
-                if mode != SymmetryMode::FullEnum {
-                    fast = FastPlan::build(&protocol, capped, &perms);
-                }
-            }
-        }
-        if scv_telemetry::enabled() {
-            scv_telemetry::set_gauge("symmetry.group_size", perms.len().max(1) as f64);
-        }
-        VerifySystem {
-            protocol,
-            perms,
-            fast,
-            l2: SealCacheL2::new(),
-            mode,
-            lazy: true,
-        }
+impl<P: Symmetry> Reseal<P::State> for SealCore<P> {
+    fn reseal(&self, proto: &P::State, obs: &Observer, chk: &ScChecker, out: &mut Vec<u64>) {
+        with_thread_bufs(|bufs| self.seal_into(proto, obs, chk, bufs, out, None));
     }
+}
 
-    /// The wrapped protocol.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The symmetry mode this system was built with.
-    pub fn symmetry_mode(&self) -> SymmetryMode {
-        self.mode
-    }
-
-    /// Select admission-gated lazy materialization (`true`, the default)
-    /// or the eager reference expansion path (`false`). Consuming builder,
-    /// consistent with [`VerifySystem::with_symmetry`]:
-    ///
-    /// ```ignore
-    /// let sys = VerifySystem::with_symmetry(p, SymmetryMode::Full).lazy(false);
-    /// ```
-    pub fn lazy(mut self, lazy: bool) -> Self {
-        self.lazy = lazy;
-        self
-    }
-
-    /// Is lazy (admission-gated) expansion active?
-    pub fn is_lazy(&self) -> bool {
-        self.lazy
-    }
-
-    /// Order of the effective symmetry group (1 = no reduction).
-    pub fn symmetry_group_order(&self) -> usize {
-        self.perms.len().max(1)
-    }
-
-    /// Seal a product state: compute the canonical encoding its hash and
-    /// equality go through (see [`VerifySystem::seal_into`]).
-    fn seal(
-        &self,
-        proto: P::State,
-        obs: Observer,
-        chk: ScChecker,
-        error: Option<RejectReason>,
-    ) -> VerifyState<P::State> {
-        let mut enc = Vec::with_capacity(160);
-        with_thread_bufs(|bufs| self.seal_into(&proto, &obs, &chk, bufs, &mut enc, None));
-        VerifyState {
-            proto,
-            obs,
-            chk,
-            error,
-            enc: EncRef::owned(&enc),
-            sym: !self.perms.is_empty(),
-        }
-    }
-
-    /// Recompute the canonical encoding of a product state from scratch,
-    /// bypassing every seal cache — the key differential-testing and
-    /// benchmarking hook: two systems over the same protocol must produce
-    /// byte-identical results here whether they canonicalize via the
-    /// sort-based fast path ([`SymmetryMode::Full`]) or the brute-force
-    /// reference ([`SymmetryMode::FullEnum`]).
-    pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
-        let mut enc = Vec::with_capacity(160);
-        with_thread_bufs(|bufs| self.seal_into(&s.proto, &s.obs, &s.chk, bufs, &mut enc, None));
-        enc
-    }
-
+impl<P: Symmetry> SealCore<P> {
     /// Append the canonical words of the product state `(proto, obs, chk)`
     /// to `out` — the one seal routine every path goes through.
     ///
-    /// Without symmetry the words are the aux-ID-canonical encodings of
-    /// observer and checker, renamed through one [`scv_descriptor::IdCanon`]
-    /// so product states differing only by an aux-ID permutation (which
-    /// are bisimilar) seal identically; the protocol state is hashed
-    /// natively alongside (see [`FpParts`]). With symmetry they are the
-    /// lexicographic minimum, over every group element `g`, of
+    /// Without symmetry the words are [`seal_plain`]'s. With symmetry they
+    /// are the lexicographic minimum, over every group element `g`, of
     /// `encode(g · (proto, obs, chk))`, whose leading protocol encoding is
     /// injective because `proto` no longer participates in the hash. The
     /// minimum is computed without materialising any renamed structure, by
@@ -722,15 +513,12 @@ impl<P: Symmetry> VerifySystem<P> {
         out: &mut Vec<u64>,
         probe: Option<SealProbe<'_>>,
     ) -> Option<u128> {
-        let base = obs.location_count();
         if self.perms.is_empty() {
-            let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
-            bufs.ids.reset_with(base);
-            obs.canonical_encoding(out, &mut bufs.ids);
-            chk.canonical_encoding(out, &mut bufs.ids);
+            seal_plain(obs, chk, &mut bufs.ids, out);
             return None;
         }
         let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
+        let base = obs.location_count();
         let best = &mut bufs.best;
         best.clear();
         self.protocol.encode_state(proto, best);
@@ -772,7 +560,7 @@ impl<P: Symmetry> VerifySystem<P> {
     }
 
     /// The full-enumeration reference canonicalizer behind
-    /// [`VerifySystem::seal_into`]. On entry `best` holds the identity
+    /// [`SealCore::seal_into`]. On entry `best` holds the identity
     /// candidate (injective protocol prefix of `proto_len` words, then the
     /// plain canonical encodings); on exit it holds the lexicographic
     /// minimum over the whole group. A cheap prefix comparison on the
@@ -832,6 +620,204 @@ impl<P: Symmetry> VerifySystem<P> {
     }
 }
 
+/// One replay slot of the lazy expansion scratch: the observer/checker
+/// copies (and protocol successor) for a single candidate transition.
+///
+/// `proto`/`obs`/`chk` are `Option` so an admitted candidate's components
+/// can be *moved* into the materialized state with no extra copy; the
+/// next expansion re-fills an emptied slot with a fresh clone, and a
+/// still-full slot through allocation-reusing `clone_from`.
+struct CandSlot<PS> {
+    action: Action,
+    proto: Option<PS>,
+    obs: Option<Observer>,
+    chk: Option<ScChecker>,
+    /// The transition emitted no symbols, so the candidate's checker state
+    /// *is* the parent's: the slot's `chk` copy was skipped (encoding read
+    /// the parent directly) and materialization clones the parent instead.
+    chk_is_parent: bool,
+    error: Option<Box<RejectReason>>,
+}
+
+/// Per-worker scratch for admission-gated lazy expansion, carried by the
+/// search core inside an opaque [`ExpandScratch`]. Everything here is reused
+/// across expansions: the replay slots, the symbol and encoding buffers,
+/// and the L1 orbit-seal cache (per worker, hence lock-free).
+pub(crate) struct SealScratch<PS> {
+    slots: Vec<CandSlot<PS>>,
+    syms: Vec<Symbol>,
+    /// Reused transition-enumeration buffer (fed to
+    /// [`scv_protocol::Protocol::transitions_into`]).
+    trans: Vec<Transition<PS>>,
+    /// The current candidate's canonical words, fingerprinted and dropped.
+    enc: Vec<u64>,
+    /// Candidate fingerprints and the admission verdicts they received.
+    fps: Vec<u128>,
+    keep: Vec<bool>,
+    bufs: SealBufs,
+    l1: SealCacheL1,
+}
+
+impl<PS> SealScratch<PS> {
+    fn new() -> Self {
+        SealScratch {
+            slots: Vec::new(),
+            syms: Vec::new(),
+            trans: Vec::new(),
+            enc: Vec::with_capacity(1024),
+            fps: Vec::new(),
+            keep: Vec::new(),
+            bufs: SealBufs::new(),
+            l1: SealCacheL1::new(),
+        }
+    }
+}
+
+/// The product transition system for a protocol.
+///
+/// Built plain ([`VerifySystem::new`]) or with symmetry reduction
+/// ([`VerifySystem::with_symmetry`]); the reduction canonicalizes each
+/// product state to its orbit-minimum encoding before the seen-set sees
+/// its fingerprint, at every thread count.
+pub struct VerifySystem<P: Symmetry> {
+    /// Protocol, group and plan, shared with the symmetry-reduced states
+    /// (see [`SealCore`]).
+    core: Arc<SealCore<P>>,
+    /// Shared second-level orbit-seal cache (see [`SealCacheL2`]).
+    l2: SealCacheL2,
+    /// The mode the system was built with (recorded in checkpoint files so
+    /// a resume under a different quotient is rejected up front).
+    mode: SymmetryMode,
+    /// Admission-gated lazy materialization (the default). `false` forces
+    /// the eager reference path in `expand_admitted`: every successor is
+    /// fully materialized before the seen-set probe — the pre-gating cost
+    /// profile, kept for differential testing and benchmarking.
+    lazy: bool,
+}
+
+impl<P: Symmetry> VerifySystem<P> {
+    /// Build the product system without symmetry reduction.
+    pub fn new(protocol: P) -> Self {
+        Self::with_symmetry(protocol, SymmetryMode::Off)
+    }
+
+    /// Build the product system, quotienting by the protocol's symmetry
+    /// group as far as `mode` requests and the protocol declares sound.
+    pub fn with_symmetry(protocol: P, mode: SymmetryMode) -> Self {
+        let dims = mode.requested_dims().intersect(protocol.symmetry_dims());
+        let mut perms = Vec::new();
+        let mut fast = None;
+        if dims.any() {
+            let capped = SymPerm::capped_dims(protocol.params(), dims, GROUP_CAP);
+            if capped != dims && scv_telemetry::enabled() {
+                // The cap degraded the quotient: record by how much (the
+                // ratio of the requested group order to the enumerated
+                // one — an upper bound on the forfeited state reduction).
+                let requested = SymPerm::group_order(protocol.params(), dims) as f64;
+                let kept = SymPerm::group_order(protocol.params(), capped) as f64;
+                scv_telemetry::set_gauge("symmetry.cap_degradation", requested / kept);
+            }
+            let group = SymPerm::group(protocol.params(), capped, GROUP_CAP);
+            if group.len() > 1 {
+                debug_assert!(group[0].is_identity(), "group must lead with identity");
+                perms = group
+                    .into_iter()
+                    .map(|perm| {
+                        let (locs, locs_inv) = location_maps(&protocol, &perm);
+                        PermEntry {
+                            perm,
+                            locs,
+                            locs_inv,
+                        }
+                    })
+                    .collect();
+                if mode != SymmetryMode::FullEnum {
+                    fast = FastPlan::build(&protocol, capped, &perms);
+                }
+            }
+        }
+        if scv_telemetry::enabled() {
+            scv_telemetry::set_gauge("symmetry.group_size", perms.len().max(1) as f64);
+        }
+        VerifySystem {
+            core: Arc::new(SealCore {
+                protocol,
+                perms,
+                fast,
+            }),
+            l2: SealCacheL2::new(),
+            mode,
+            lazy: true,
+        }
+    }
+
+    /// The wrapped protocol.
+    pub fn protocol(&self) -> &P {
+        &self.core.protocol
+    }
+
+    /// The symmetry mode this system was built with.
+    pub fn symmetry_mode(&self) -> SymmetryMode {
+        self.mode
+    }
+
+    /// Select admission-gated lazy materialization (`true`, the default)
+    /// or the eager reference expansion path (`false`). Consuming builder,
+    /// consistent with [`VerifySystem::with_symmetry`]:
+    ///
+    /// ```ignore
+    /// let sys = VerifySystem::with_symmetry(p, SymmetryMode::Full).lazy(false);
+    /// ```
+    pub fn lazy(mut self, lazy: bool) -> Self {
+        self.lazy = lazy;
+        self
+    }
+
+    /// Is lazy (admission-gated) expansion active?
+    pub fn is_lazy(&self) -> bool {
+        self.lazy
+    }
+
+    /// Order of the effective symmetry group (1 = no reduction).
+    pub fn symmetry_group_order(&self) -> usize {
+        self.core.perms.len().max(1)
+    }
+
+    /// Assemble a product state; under symmetry it shares the seal core.
+    fn state(
+        &self,
+        proto: P::State,
+        obs: Observer,
+        chk: ScChecker,
+        error: Option<Box<RejectReason>>,
+    ) -> VerifyState<P::State> {
+        let group = if self.core.perms.is_empty() {
+            None
+        } else {
+            Some(Arc::clone(&self.core) as Arc<dyn Reseal<P::State>>)
+        };
+        VerifyState {
+            proto,
+            obs,
+            chk,
+            error,
+            group,
+        }
+    }
+
+    /// Recompute the canonical encoding of a product state from scratch,
+    /// bypassing every seal cache — the key differential-testing and
+    /// benchmarking hook: two systems over the same protocol must produce
+    /// byte-identical results here whether they canonicalize via the
+    /// sort-based fast path ([`SymmetryMode::Full`]) or the brute-force
+    /// reference ([`SymmetryMode::FullEnum`]).
+    pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
+        let mut enc = Vec::with_capacity(160);
+        self.core.reseal(&s.proto, &s.obs, &s.chk, &mut enc);
+        enc
+    }
+}
+
 impl<P: Symmetry> TransitionSystem for VerifySystem<P>
 where
     P::State: Send + 'static,
@@ -841,9 +827,9 @@ where
     type Violation = RejectReason;
 
     fn initial(&self) -> Self::State {
-        let obs = Observer::new(ObserverConfig::from_protocol(&self.protocol));
+        let obs = Observer::new(ObserverConfig::from_protocol(self.protocol()));
         let chk = ScChecker::new(obs.k());
-        self.seal(self.protocol.initial(), obs, chk, None)
+        self.state(self.protocol().initial(), obs, chk, None)
     }
 
     fn successors(&self, s: &Self::State) -> Vec<(Action, Self::State)> {
@@ -861,7 +847,7 @@ where
         }
         let _t = scv_telemetry::timer(scv_telemetry::Phase::Expand);
         let mut syms = Vec::new(); // hoisted: one symbol buffer per expansion
-        for t in self.protocol.transitions(&s.proto) {
+        for t in self.protocol().transitions(&s.proto) {
             let Transition {
                 action,
                 next,
@@ -876,12 +862,12 @@ where
                 let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::CheckerStep);
                 for sym in &syms {
                     if let Err(e) = chk.step(sym) {
-                        error = Some(RejectReason::Stream(e));
+                        error = Some(Box::new(RejectReason::Stream(e)));
                         break;
                     }
                 }
             }
-            out.push((action, self.seal(next, obs, chk, error)));
+            out.push((action, self.state(next, obs, chk, error)));
         }
     }
 
@@ -892,10 +878,10 @@ where
     // The admission-gated hot path: replay each candidate transition into
     // reused scratch copies, seal only as far as a fingerprint, let the
     // search's `admit` probe reject duplicates, and materialize (move out
-    // of the scratch slots + intern the encodings in one frozen chunk)
-    // only what survived. In dense product graphs the majority of
-    // candidates are duplicates, so the majority of clone/alloc work is
-    // skipped — `mc.clones_avoided` counts exactly how much.
+    // of the scratch slots) only what survived. In dense product graphs
+    // the majority of candidates are duplicates, so the majority of
+    // clone/alloc work is skipped — `mc.clones_avoided` counts exactly how
+    // much. The sealed words are dropped once fingerprinted.
     fn expand_admitted(
         &self,
         s: &Self::State,
@@ -919,12 +905,13 @@ where
             return;
         };
         let _t = scv_telemetry::timer(scv_telemetry::Phase::Expand);
-        let sym = !self.perms.is_empty();
+        let core = &*self.core;
+        let sym = !core.perms.is_empty();
         // Keying the cache costs a hash pass over the identity encoding,
         // while a hit saves the whole canonicalization — worthwhile only
         // when the group is big enough to amortize the key, and only until
         // the hit-rate gate trips.
-        let cached = self.perms.len() >= 4;
+        let cached = core.perms.len() >= 4;
         if cached {
             // The shared L2 is keyed by identity-encoding fp64, which
             // depends on the fingerprinter seeds: (re)seed it, clearing
@@ -935,13 +922,12 @@ where
         // draining it; the allocation is handed back at the end.
         let mut trans = std::mem::take(&mut sc.trans);
         trans.clear();
-        self.protocol.transitions_into(&s.proto, &mut trans);
+        core.protocol.transitions_into(&s.proto, &mut trans);
         let n = trans.len();
         if n == 0 {
             sc.trans = trans;
             return;
         }
-        sc.enc.clear();
         sc.fps.clear();
         for (i, t) in trans.drain(..).enumerate() {
             let Transition {
@@ -957,8 +943,6 @@ where
                     chk: None,
                     chk_is_parent: false,
                     error: None,
-                    enc_start: 0,
-                    enc_len: 0,
                 });
             }
             let slot = &mut sc.slots[i];
@@ -994,13 +978,13 @@ where
                 let chk = slot.chk.as_mut().expect("slot.chk filled above");
                 for symbol in &sc.syms {
                     if let Err(e) = chk.step(symbol) {
-                        slot.error = Some(RejectReason::Stream(e));
+                        slot.error = Some(Box::new(RejectReason::Stream(e)));
                         break;
                     }
                 }
             }
             // Fingerprint-only seal: canonical words into the scratch
-            // arena, no state construction.
+            // buffer, no state construction.
             let proto = slot.proto.as_ref().expect("slot.proto filled above");
             let obs = slot.obs.as_ref().expect("slot.obs filled above");
             let chk = if slot.chk_is_parent {
@@ -1008,7 +992,7 @@ where
             } else {
                 slot.chk.as_ref().expect("slot.chk filled above")
             };
-            let start = sc.enc.len();
+            sc.enc.clear();
             let mut key = None;
             let hit = if cached && !sc.l1.off {
                 let l1 = &mut sc.l1;
@@ -1020,116 +1004,56 @@ where
                     key = Some(k);
                     l1.probe(&self.l2, k)
                 };
-                self.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.enc, Some(&mut probe))
+                core.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.enc, Some(&mut probe))
             } else {
-                self.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.enc, None)
+                core.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.enc, None)
             };
-            slot.enc_start = start;
-            let fp = match hit {
-                Some(fp) => {
-                    slot.enc_len = ENC_UNSEALED;
-                    fp
+            let fp = hit.unwrap_or_else(|| {
+                let fp = fper.fp(&FpParts {
+                    proto: (!sym).then_some(proto),
+                    enc: &sc.enc,
+                });
+                if let Some(k) = key {
+                    sc.l1.insert(&self.l2, k, fp);
                 }
-                None => {
-                    slot.enc_len = sc.enc.len() - start;
-                    let fp = fper.fp(&FpParts {
-                        proto: (!sym).then_some(proto),
-                        enc: &sc.enc[start..],
-                    });
-                    if let Some(k) = key {
-                        sc.l1.insert(&self.l2, k, fp);
-                    }
-                    fp
-                }
-            };
+                fp
+            });
             sc.fps.push(fp);
         }
         sc.trans = trans; // drained; hand the allocation back
 
         admit(&sc.fps, &mut sc.keep);
         debug_assert_eq!(sc.keep.len(), n);
-        let admitted = sc.keep.iter().filter(|k| **k).count();
         if scv_telemetry::enabled() {
+            let admitted = sc.keep.iter().filter(|k| **k).count();
             scv_telemetry::add(
                 scv_telemetry::Metric::McClonesAvoided,
                 (n - admitted) as u64,
             );
         }
-        if admitted == 0 {
-            return;
-        }
-
-        // Freeze the admitted encodings into one shared chunk: a single
-        // allocation per parent instead of one per successor.
-        sc.frozen.clear();
         for i in 0..n {
             if !sc.keep[i] {
                 continue;
             }
             let slot = &mut sc.slots[i];
-            if slot.enc_len == ENC_UNSEALED {
-                // Admitted on a cache hit: the cache holds only the
-                // fingerprint, so reseal the candidate now.
-                let start = sc.frozen.len();
-                let proto = slot.proto.as_ref().expect("slot.proto filled above");
-                let obs = slot.obs.as_ref().expect("slot.obs filled above");
-                let chk = if slot.chk_is_parent {
-                    &s.chk
-                } else {
-                    slot.chk.as_ref().expect("slot.chk filled above")
-                };
-                self.seal_into(proto, obs, chk, &mut sc.bufs, &mut sc.frozen, None);
-                debug_assert_eq!(
-                    fper.fp(&FpParts::<P::State> {
-                        proto: None,
-                        enc: &sc.frozen[start..],
-                    }),
-                    sc.fps[i],
-                    "resealed orbit minimum disagrees with the cached fingerprint"
-                );
-                slot.enc_len = sc.frozen.len() - start;
+            let chk = if slot.chk_is_parent {
+                s.chk.clone()
             } else {
-                sc.frozen
-                    .extend_from_slice(&sc.enc[slot.enc_start..slot.enc_start + slot.enc_len]);
-            }
-        }
-        let chunk: Arc<[u64]> = sc.frozen.as_slice().into();
-        if scv_telemetry::enabled() {
-            scv_telemetry::add(
-                scv_telemetry::Metric::McArenaAllocBytes,
-                (sc.frozen.len() * std::mem::size_of::<u64>()) as u64,
+                slot.chk.take().expect("admitted slot has chk")
+            };
+            let state = self.state(
+                slot.proto.take().expect("admitted slot has proto"),
+                slot.obs.take().expect("admitted slot has obs"),
+                chk,
+                slot.error.take(),
             );
-        }
-        let mut off = 0usize;
-        for i in 0..n {
-            if !sc.keep[i] {
-                continue;
-            }
-            let slot = &mut sc.slots[i];
-            let enc = EncRef::view(&chunk, off, slot.enc_len);
-            off += slot.enc_len;
-            out.push((
-                slot.action,
-                VerifyState {
-                    proto: slot.proto.take().expect("admitted slot has proto"),
-                    obs: slot.obs.take().expect("admitted slot has obs"),
-                    chk: if slot.chk_is_parent {
-                        s.chk.clone()
-                    } else {
-                        slot.chk.take().expect("admitted slot has chk")
-                    },
-                    error: slot.error.take(),
-                    enc,
-                    sym,
-                },
-                sc.fps[i],
-            ));
+            out.push((slot.action, state, sc.fps[i]));
         }
     }
 
     fn violation(&self, s: &Self::State) -> Option<RejectReason> {
         if let Some(e) = &s.error {
-            return Some(e.clone());
+            return Some(RejectReason::clone(e));
         }
         let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::CheckerEnd);
         // Traces are prefix-closed: every reachable state is a possible
@@ -1544,9 +1468,9 @@ where
         &self,
         ck: &SearchCheckpoint<VerifyState<P::State>, Action>,
     ) -> CheckpointFile {
-        let p = self.protocol.params();
+        let p = self.protocol().params();
         CheckpointFile {
-            protocol: self.protocol.name().to_string(),
+            protocol: self.protocol().name().to_string(),
             dims: (p.p, p.b, p.v),
             symmetry: self.mode.as_byte(),
             seeds: ck.seeds,
@@ -1587,14 +1511,14 @@ where
         &self,
         file: &CheckpointFile,
     ) -> Result<SearchCheckpoint<VerifyState<P::State>, Action>, CheckpointError> {
-        let name = self.protocol.name();
+        let name = self.protocol().name();
         if file.protocol != name {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint is for protocol {:?}, not {name:?}",
                 file.protocol
             )));
         }
-        let p = self.protocol.params();
+        let p = self.protocol().params();
         if file.dims != (p.p, p.b, p.v) {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint parameters {:?} do not match ({}, {}, {})",
@@ -1685,7 +1609,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scv_protocol::{Fig4Protocol, LazyCaching, MsiProtocol, SerialMemory, StoreBufferTso};
+    use crate::ws::ws_search_controlled;
+    use scv_protocol::{
+        Fig4Protocol, LazyCaching, MsiProtocol, Protocol, SerialMemory, StoreBufferTso,
+    };
     use scv_types::Params;
 
     fn opts(max_states: usize) -> VerifyOptions {
@@ -1866,6 +1793,94 @@ mod tests {
             assert_eq!(*fp2, fper.fp(state));
             assert_eq!(state.encoding(), sys.canonical_encoding_of(state));
         }
+    }
+
+    /// Delegates to a product system and, for every state its lazy path
+    /// admits, checks that the state hashes to its admission fingerprint
+    /// and reseals to its canonical encoding.
+    struct ResealCheck<'a, P: Symmetry> {
+        sys: &'a VerifySystem<P>,
+        checked: AtomicU64,
+    }
+
+    impl<P: Symmetry> TransitionSystem for ResealCheck<'_, P>
+    where
+        P::State: Send + 'static,
+    {
+        type State = VerifyState<P::State>;
+        type Label = Action;
+        type Violation = RejectReason;
+
+        fn initial(&self) -> Self::State {
+            self.sys.initial()
+        }
+
+        fn successors(&self, s: &Self::State) -> Vec<(Action, Self::State)> {
+            self.sys.successors(s)
+        }
+
+        fn violation(&self, s: &Self::State) -> Option<RejectReason> {
+            self.sys.violation(s)
+        }
+
+        fn expand_scratch(&self) -> ExpandScratch {
+            self.sys.expand_scratch()
+        }
+
+        fn expand_admitted(
+            &self,
+            s: &Self::State,
+            scratch: &mut ExpandScratch,
+            fper: &Fingerprinter,
+            admit: &mut dyn FnMut(&[u128], &mut Vec<bool>),
+            out: &mut Vec<(Action, Self::State, u128)>,
+        ) {
+            let before = out.len();
+            self.sys.expand_admitted(s, scratch, fper, admit, out);
+            for (_, t, fp) in &out[before..] {
+                assert_eq!(fper.fp(t), *fp, "a resealed state changed fingerprint");
+                assert_eq!(t.encoding(), self.sys.canonical_encoding_of(t));
+                self.checked.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// States store no encoding, so hashing and `encoding()` reseal: on
+    /// every lazily admitted state of a 5k-state search, in every symmetry
+    /// mode and at one and two workers, both must reproduce what the
+    /// admission gate saw.
+    #[test]
+    fn lazily_admitted_states_reseal_exactly() {
+        for mode in [
+            SymmetryMode::Off,
+            SymmetryMode::Full,
+            SymmetryMode::FullEnum,
+        ] {
+            let sys = VerifySystem::with_symmetry(MsiProtocol::new(Params::new(2, 1, 2)), mode);
+            for threads in [1, 2] {
+                let check = ResealCheck {
+                    sys: &sys,
+                    checked: AtomicU64::new(0),
+                };
+                let bfs = BfsOptions::new().max_states(5_000);
+                let ctrl = RunControl::unlimited();
+                let (r, _) = ws_search_controlled(&check, bfs, threads, DEFAULT_BATCH, &ctrl, None);
+                assert!(matches!(
+                    r,
+                    ControlledSearch::Finished(SearchResult::Bounded(_))
+                ));
+                let checked = check.checked.into_inner();
+                assert!(checked >= 4_999, "{mode:?} t={threads}: {checked} states");
+            }
+        }
+    }
+
+    /// Layout pin: the search holds every frontier state inline, so
+    /// growth should be a deliberate choice.
+    #[test]
+    fn msi_state_layout_stays_lean() {
+        let size = std::mem::size_of::<VerifyState<<MsiProtocol as Protocol>::State>>();
+        assert!(size <= 480, "{size}");
     }
 
     #[test]

@@ -263,7 +263,7 @@ type ParentLog<L> = Vec<(u128, u128, L)>;
 /// One worker's long-lived scratch space (the "successor arena"): every
 /// vector here is drained and reused across chunks, so steady-state
 /// expansion performs no frontier allocation at all. `expand` is the
-/// system's own scratch (replay copies, encoding arena, seal cache for the
+/// system's own scratch (replay copies, seal buffers, seal cache for the
 /// product system), threaded through every admission-gated expansion.
 struct Scratch<T: TransitionSystem> {
     expand: ExpandScratch,

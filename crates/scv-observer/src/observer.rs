@@ -4,10 +4,11 @@ use scv_descriptor::{Descriptor, IdNum, Symbol};
 use scv_graph::EdgeSet;
 use scv_protocol::{Action, CopySrc, LocId, Protocol, Run, StOrderPolicy, Step};
 use scv_types::{Op, Params};
-use std::collections::HashMap;
+use std::num::NonZeroU64;
 
-/// Internal node key (monotone counter; never reused).
-type Key = u64;
+/// Internal node key (monotone counter from 1; never reused). Non-zero,
+/// so an `Option<Key>` takes 8 bytes.
+type Key = NonZeroU64;
 
 /// Static configuration extracted from a protocol.
 #[derive(Clone, Debug)]
@@ -191,20 +192,17 @@ pub struct Observer {
     aux_total: usize,
     /// Live node records.
     nodes: NodeMap,
-    next_key: Key,
-    /// Latest operation node per processor.
-    last_op: Vec<Option<Key>>,
-    /// ST-order tail per block.
-    sto_tail: Vec<Option<Key>>,
-    /// First store in ST order per block.
-    first_st: Vec<Option<Key>>,
-    /// Latest pinned `⊥` load per (processor, block).
-    bot_anchor: Vec<Option<Key>>,
-    /// Issued but unserialized stores per block, in trace order
+    next_key: u64,
+    /// The per-processor and per-block anchor tables in one allocation,
+    /// indexed through [`Observer::last_op_at`] (latest operation node per
+    /// processor), [`Observer::sto_tail_at`] (ST-order tail per block),
+    /// [`Observer::first_st_at`] (first store in ST order per block) and
+    /// [`Observer::bot_anchor_at`] (latest pinned `⊥` load per
+    /// (processor, block)).
+    anchors: Vec<Option<Key>>,
+    /// Issued but unserialized stores with their block, in trace order
     /// (serialization policy only).
-    pending: Vec<Vec<Key>>,
-    /// Reverse map: location -> block it serializes (serialization policy).
-    serialization_of: HashMap<LocId, u8>,
+    pending: Vec<(u8, Key)>,
     stats: ObserverStats,
     /// Per-step edge accumulation (merged annotations).
     edges: Vec<((Key, Key), EdgeSet)>,
@@ -223,12 +221,8 @@ impl Clone for Observer {
             aux_total: self.aux_total,
             nodes: self.nodes.clone(),
             next_key: self.next_key,
-            last_op: self.last_op.clone(),
-            sto_tail: self.sto_tail.clone(),
-            first_st: self.first_st.clone(),
-            bot_anchor: self.bot_anchor.clone(),
+            anchors: self.anchors.clone(),
             pending: self.pending.clone(),
-            serialization_of: self.serialization_of.clone(),
             stats: self.stats,
             edges: self.edges.clone(),
         }
@@ -241,12 +235,8 @@ impl Clone for Observer {
         self.aux_total = source.aux_total;
         self.nodes.clone_from(&source.nodes);
         self.next_key = source.next_key;
-        self.last_op.clone_from(&source.last_op);
-        self.sto_tail.clone_from(&source.sto_tail);
-        self.first_st.clone_from(&source.first_st);
-        self.bot_anchor.clone_from(&source.bot_anchor);
+        self.anchors.clone_from(&source.anchors);
         self.pending.clone_from(&source.pending);
-        self.serialization_of.clone_from(&source.serialization_of);
         self.stats = source.stats;
         self.edges.clone_from(&source.edges);
     }
@@ -263,26 +253,14 @@ impl Observer {
         // anchors + first/forced-target stores), with slack.
         let aux_total = p + b + p * (b + l) + p * b + 2 * b + l + 8;
         let aux_free: Vec<IdNum> = ((l as u32 + 1)..=(l + aux_total) as u32).rev().collect();
-        let serialization_of = match &cfg.policy {
-            StOrderPolicy::RealTime => HashMap::new(),
-            StOrderPolicy::Serialization { locs } => locs
-                .iter()
-                .enumerate()
-                .map(|(bi, &loc)| (loc, bi as u8))
-                .collect(),
-        };
         Observer {
             loc_owner: vec![None; l],
             aux_free,
             aux_total,
             nodes: NodeMap::default(),
-            next_key: 0,
-            last_op: vec![None; p],
-            sto_tail: vec![None; b],
-            first_st: vec![None; b],
-            bot_anchor: vec![None; p * b],
-            pending: vec![Vec::new(); b],
-            serialization_of,
+            next_key: 1,
+            anchors: vec![None; p + 2 * b + p * b],
+            pending: Vec::new(),
             stats: ObserverStats::default(),
             edges: Vec::new(),
             cfg,
@@ -309,6 +287,35 @@ impl Observer {
     /// Streaming statistics.
     pub fn stats(&self) -> ObserverStats {
         self.stats
+    }
+
+    // `anchors` layout: last_op (p) | sto_tail (b) | first_st (b) |
+    // bot_anchor (p·b, processor-major).
+
+    fn last_op_at(&self, pi: usize) -> usize {
+        pi
+    }
+
+    fn sto_tail_at(&self, b: usize) -> usize {
+        self.cfg.params.p as usize + b
+    }
+
+    fn first_st_at(&self, b: usize) -> usize {
+        self.cfg.params.p as usize + self.cfg.params.b as usize + b
+    }
+
+    fn bot_anchor_at(&self, pi: usize, b: usize) -> usize {
+        let nb = self.cfg.params.b as usize;
+        self.cfg.params.p as usize + (2 + pi) * nb + b
+    }
+
+    /// The block whose serialization location is `loc`, if any
+    /// (serialization policy only).
+    fn serialized_block(&self, loc: LocId) -> Option<usize> {
+        match &self.cfg.policy {
+            StOrderPolicy::RealTime => None,
+            StOrderPolicy::Serialization { locs } => locs.iter().position(|&l| l == loc),
+        }
     }
 
     /// Observe one protocol step, appending descriptor symbols to `out`.
@@ -338,15 +345,21 @@ impl Observer {
     /// Are there stores still awaiting serialization (so that
     /// [`Observer::finish`] would emit trailing symbols)?
     pub fn has_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
+        !self.pending.is_empty()
     }
 
     /// End of run: serialize any still-pending stores (emitting their ST
     /// order edges and the forced edges of their waiting heirs).
     pub fn finish(&mut self, out: &mut Vec<Symbol>) {
         let before = out.len();
-        for b in 0..self.pending.len() {
-            let pend = std::mem::take(&mut self.pending[b]);
+        for b in 0..self.cfg.params.b as usize {
+            let pend: Vec<Key> = self
+                .pending
+                .iter()
+                .filter(|e| e.0 as usize == b)
+                .map(|e| e.1)
+                .collect();
+            self.pending.retain(|e| e.0 as usize != b);
             for key in pend {
                 if self.nodes.contains_key(&key) {
                     self.nodes
@@ -399,7 +412,7 @@ impl Observer {
                     .expect("live")
                     .pins
                     .pending_serialization = true;
-                self.pending[b].push(key);
+                self.pending.push((b as u8, key));
             }
         }
         self.flush_edges(out);
@@ -450,11 +463,11 @@ impl Observer {
                 // ⊥ load (or a value-less location, which the checker will
                 // flag): constraint 5(b) handling.
                 let b = op.block.idx();
-                match self.first_st[b] {
+                match self.anchors[self.first_st_at(b)] {
                     Some(first) => self.queue_edge(key, first, EdgeSet::FORCED),
                     None => {
-                        let slot = op.proc.idx() * self.cfg.params.b as usize + b;
-                        let prev = self.bot_anchor[slot].replace(key);
+                        let slot = self.bot_anchor_at(op.proc.idx(), b);
+                        let prev = self.anchors[slot].replace(key);
                         self.nodes.get_mut(&key).expect("live").pins.bot_anchor = true;
                         if let Some(prev) = prev {
                             if let Some(n) = self.nodes.get_mut(&prev) {
@@ -485,14 +498,13 @@ impl Observer {
                     self.drop_loc_ref(old);
                     // Serialization events: a copy into a block's
                     // serialization location serializes the source store.
-                    if let (Some(&b), Some(g)) = (self.serialization_of.get(&dst), gainer) {
+                    if let (Some(bi), Some(g)) = (self.serialized_block(dst), gainer) {
                         let pending = self
                             .nodes
                             .get(&g)
                             .is_some_and(|n| n.pins.pending_serialization);
                         if pending {
-                            let bi = b as usize;
-                            self.pending[bi].retain(|&k| k != g);
+                            self.pending.retain(|&(_, k)| k != g);
                             self.nodes
                                 .get_mut(&g)
                                 .expect("live")
@@ -523,7 +535,7 @@ impl Observer {
 
     /// `node` becomes the next store of block `b` in ST order.
     fn serialize_store(&mut self, b: usize, node: Key) {
-        match self.sto_tail[b] {
+        match self.anchors[self.sto_tail_at(b)] {
             Some(tail) => {
                 self.queue_edge(tail, node, EdgeSet::STO);
                 // Forced edges for the tail's waiting heirs; they unpin.
@@ -553,11 +565,12 @@ impl Observer {
             None => {
                 // First store of the block in ST order: discharge the ⊥
                 // anchors and stay pinned forever for late ⊥ loads.
-                self.first_st[b] = Some(node);
+                let first = self.first_st_at(b);
+                self.anchors[first] = Some(node);
                 self.nodes.get_mut(&node).expect("live").pins.first_st = true;
                 for p in 0..self.cfg.params.p as usize {
-                    let slot = p * self.cfg.params.b as usize + b;
-                    if let Some(j) = self.bot_anchor[slot].take() {
+                    let slot = self.bot_anchor_at(p, b);
+                    if let Some(j) = self.anchors[slot].take() {
                         if self.nodes.contains_key(&j) {
                             self.queue_edge(j, node, EdgeSet::FORCED);
                             self.nodes.get_mut(&j).expect("live").pins.bot_anchor = false;
@@ -567,14 +580,15 @@ impl Observer {
                 }
             }
         }
-        self.sto_tail[b] = Some(node);
+        let tail = self.sto_tail_at(b);
+        self.anchors[tail] = Some(node);
         self.nodes.get_mut(&node).expect("live").pins.sto_tail = true;
     }
 
     // ----- plumbing ----------------------------------------------------------
 
     fn new_node(&mut self, op: Op) -> Key {
-        let key = self.next_key;
+        let key = Key::new(self.next_key).expect("keys start at 1");
         self.next_key += 1;
         self.nodes.insert(
             key,
@@ -593,7 +607,8 @@ impl Observer {
     /// Make `key` the program-order anchor of processor index `pi`,
     /// emitting the po edge from the previous anchor.
     fn take_po_anchor(&mut self, key: Key, pi: usize) {
-        if let Some(prev) = self.last_op[pi].replace(key) {
+        let at = self.last_op_at(pi);
+        if let Some(prev) = self.anchors[at].replace(key) {
             self.queue_edge(prev, key, EdgeSet::PO);
             if let Some(n) = self.nodes.get_mut(&prev) {
                 n.pins.po_anchor = false;
@@ -764,12 +779,12 @@ impl Observer {
         let b = self.cfg.params.b as usize;
         for e in 0..self.cfg.params.p as usize {
             keys.begin_key();
-            match rank(self.last_op[e]) {
+            match rank(self.anchors[self.last_op_at(e)]) {
                 Some(w) => keys.push(w),
                 None => return false,
             }
             for bi in 0..b {
-                match rank(self.bot_anchor[e * b + block_inv(bi)]) {
+                match rank(self.anchors[self.bot_anchor_at(e, block_inv(bi))]) {
                     Some(w) => keys.push(w),
                     None => return false,
                 }
@@ -891,24 +906,25 @@ impl Observer {
             }
         }
         for i in 0..p_count {
-            emit!(tok(self.last_op[old_proc(i)], &mut dead));
+            emit!(tok(self.anchors[self.last_op_at(old_proc(i))], &mut dead));
         }
         for i in 0..b_count {
-            emit!(tok(self.sto_tail[old_block(i)], &mut dead));
+            emit!(tok(self.anchors[self.sto_tail_at(old_block(i))], &mut dead));
         }
         for i in 0..b_count {
-            emit!(tok(self.first_st[old_block(i)], &mut dead));
+            emit!(tok(self.anchors[self.first_st_at(old_block(i))], &mut dead));
         }
         for pi in 0..p_count {
             for bi in 0..b_count {
-                let slot = old_proc(pi) * b_count + old_block(bi);
-                emit!(tok(self.bot_anchor[slot], &mut dead));
+                let slot = self.bot_anchor_at(old_proc(pi), old_block(bi));
+                emit!(tok(self.anchors[slot], &mut dead));
             }
         }
         for bi in 0..b_count {
-            let pend = &self.pending[old_block(bi)];
-            emit!(pend.len() as u64);
-            for &k in pend {
+            let block = old_block(bi) as u8;
+            let pend = self.pending.iter().filter(|e| e.0 == block);
+            emit!(pend.clone().count() as u64);
+            for &(_, k) in pend {
                 emit!(tok(Some(k), &mut dead));
             }
         }
@@ -1197,5 +1213,12 @@ mod tests {
         let (_, stats) = decode(&d).unwrap();
         // The active node count never exceeds the ID space.
         assert!(stats.max_active <= (d.k + 1) as usize);
+    }
+
+    /// Layout pin: every stored product state holds an observer inline,
+    /// so growth should be a deliberate choice.
+    #[test]
+    fn observer_layout_stays_lean() {
+        assert!(std::mem::size_of::<Observer>() <= 216);
     }
 }

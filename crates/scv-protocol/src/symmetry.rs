@@ -46,7 +46,11 @@ use scv_types::{SortKeyBuf, SymDim, SymDims, SymPerm};
 ///   (two different states must never encode equal) — the encoding is the
 ///   orbit-minimum comparison key, so a collision would merge
 ///   inequivalent product states and could mask a violation.
-pub trait Symmetry: Protocol {
+///
+/// The model checker shares the protocol between its worker threads and
+/// with the symmetry-reduced states it stores (which reseal through it),
+/// hence `Send + Sync + 'static`.
+pub trait Symmetry: Protocol + Send + Sync + 'static {
     /// Which identity dimensions the transition relation is equivariant
     /// in. Defaults to none (no reduction).
     fn symmetry_dims(&self) -> SymDims {

@@ -69,9 +69,6 @@ pub enum Metric {
     /// Orbit-seal cache misses: canonicalizations that had to enumerate
     /// the symmetry group and then populated the cache.
     SealCacheMisses,
-    /// Bytes frozen into per-worker encoding arenas (admitted states'
-    /// interned canonical encodings).
-    McArenaAllocBytes,
     /// Bytes written to on-disk search checkpoints (cumulative across
     /// snapshots).
     McCheckpointBytes,
@@ -96,7 +93,7 @@ pub enum Metric {
 }
 
 /// All metrics, in declaration order (keep in sync with [`Metric`]).
-pub const ALL_METRICS: [Metric; 29] = [
+pub const ALL_METRICS: [Metric; 28] = [
     Metric::McStatesAdmitted,
     Metric::McTransitions,
     Metric::McStatesExpanded,
@@ -119,7 +116,6 @@ pub const ALL_METRICS: [Metric; 29] = [
     Metric::McClonesAvoided,
     Metric::SealCacheHits,
     Metric::SealCacheMisses,
-    Metric::McArenaAllocBytes,
     Metric::McCheckpointBytes,
     Metric::McBudgetTrips,
     Metric::SymRefineExact,
@@ -154,7 +150,6 @@ impl Metric {
             Metric::McClonesAvoided => "mc.clones_avoided",
             Metric::SealCacheHits => "symmetry.seal_cache_hits",
             Metric::SealCacheMisses => "symmetry.seal_cache_misses",
-            Metric::McArenaAllocBytes => "mc.arena_alloc_bytes",
             Metric::McCheckpointBytes => "mc.checkpoint_bytes",
             Metric::McBudgetTrips => "mc.budget_trips",
             Metric::SymRefineExact => "symmetry.refine_exact",
