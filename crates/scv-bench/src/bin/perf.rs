@@ -24,7 +24,7 @@
 //! states/sec is reported: best-of-k discards interference from a shared
 //! or single-core host, which otherwise swings short runs by ±20%.
 
-use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
+use scv_mc::{Outcome, SymmetryMode, VerifyOptions, VerifySystem};
 use scv_protocol::{
     DirectoryProtocol, LazyCaching, MesiProtocol, MsiProtocol, SerialMemory, StoreBufferTso,
     Symmetry,
@@ -72,13 +72,12 @@ where
     P: Symmetry + Sync,
     P::State: Send + Sync + 'static,
 {
-    let opts = VerifyOptions::new()
-        .max_states(cap)
-        .threads(threads)
-        .symmetry(sym)
-        .lazy(lazy);
+    let opts = VerifyOptions::new().max_states(cap).threads(threads);
     let t0 = Instant::now();
-    let out = verify_protocol(proto, opts);
+    // `VerifySystem::lazy` is the only way to select the eager path.
+    let out = VerifySystem::with_symmetry(proto, sym)
+        .lazy(lazy)
+        .search(&opts);
     let elapsed = t0.elapsed().as_secs_f64();
     let s = out.stats();
     CaseResult {

@@ -5,12 +5,14 @@
 //!     old.jsonl new.jsonl [--threshold PCT] [--json]
 //! ```
 //!
-//! Reports are matched by `name` (e.g. `experiments/e9`, `verify/msi`);
-//! every metric present in both sides of a matched pair is compared under
-//! the [`scv_telemetry::direction_of`] heuristic: times and waste counters
-//! regress when they grow past the threshold (default 10%), throughput
-//! regresses when it shrinks, everything else is informational. Exit code
-//! 1 iff any regression was flagged. Verdict changes are printed for
+//! Reports are matched by `name` (e.g. `experiments/e9`, `verify/msi`)
+//! together with their setup params, so two runs that share a name but
+//! not a setup (`verify/msi` at 1 and at 4 threads) are never compared;
+//! see [`pair`]. Every metric present in both sides of a matched pair is
+//! compared under the [`scv_telemetry::direction_of`] heuristic: times and
+//! waste counters regress when they grow past the threshold (default 10%),
+//! throughput regresses when it shrinks, everything else is informational.
+//! Exit code 1 iff any regression was flagged. Verdict changes are printed for
 //! information but never flagged — correctness is the test suite's job,
 //! this tool watches performance trends.
 //!
@@ -26,7 +28,71 @@
 //! allow 10%.
 
 use scv_telemetry::{parse_reports, Direction, Json, RunReport};
+use std::collections::HashMap;
 use std::process::ExitCode;
+
+/// Params that record how a run ended rather than how it was set up. They
+/// stay out of the matching key, so a run whose verdict changed still pairs.
+const OUTCOME_PARAMS: &[&str] = &["interrupt"];
+
+/// The identity a report is matched on: its name and its sorted setup params.
+type Key = (String, Vec<(String, String)>);
+
+fn key(r: &RunReport) -> Key {
+    let mut params: Vec<(String, String)> = r
+        .params
+        .iter()
+        .filter(|(k, _)| !OUTCOME_PARAMS.contains(&k.as_str()))
+        .cloned()
+        .collect();
+    params.sort();
+    (r.name.clone(), params)
+}
+
+/// The report's name, followed by its setup params when it has any.
+fn label(r: &RunReport) -> String {
+    let (name, params) = key(r);
+    if params.is_empty() {
+        return name;
+    }
+    let params: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    format!("{name} [{}]", params.join(" "))
+}
+
+/// Pairs old reports with new ones of the same [`key`], returned as
+/// `(pairs, unmatched old, unmatched new)` index lists. Within one key the
+/// k-th last old report pairs with the k-th last new one, so a file diffed
+/// against itself pairs every report with itself, and a rerun appended to
+/// a file is the one its baseline is compared with.
+fn pair(old: &[RunReport], new: &[RunReport]) -> (Vec<(usize, usize)>, Vec<usize>, Vec<usize>) {
+    // (key, rank from the end) -> index
+    let ranked = |reports: &[RunReport]| {
+        let mut seen: HashMap<Key, usize> = HashMap::new();
+        let mut out: Vec<(Key, usize)> = vec![Default::default(); reports.len()];
+        for (i, r) in reports.iter().enumerate().rev() {
+            let k = key(r);
+            let rank = seen.entry(k.clone()).or_default();
+            out[i] = (k, *rank);
+            *rank += 1;
+        }
+        out
+    };
+    let mut new_at: HashMap<(Key, usize), usize> = ranked(new)
+        .into_iter()
+        .enumerate()
+        .map(|(i, kr)| (kr, i))
+        .collect();
+    let (mut pairs, mut missing) = (Vec::new(), Vec::new());
+    for (i, kr) in ranked(old).into_iter().enumerate() {
+        match new_at.remove(&kr) {
+            Some(j) => pairs.push((i, j)),
+            None => missing.push(i),
+        }
+    }
+    let mut added: Vec<usize> = new_at.into_values().collect();
+    added.sort_unstable();
+    (pairs, missing, added)
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -97,19 +163,19 @@ fn main() -> ExitCode {
     let mut compared = 0usize;
     let mut report_docs: Vec<Json> = Vec::new();
     let mut missing: Vec<Json> = Vec::new();
-    for o in &old {
-        // Last record wins when a name repeats (reruns append).
-        let Some(n) = new.iter().rev().find(|n| n.name == o.name) else {
-            if json_out {
-                missing.push(Json::Str(o.name.clone()));
-            } else {
-                println!("~ {}: missing from {new_path}", o.name);
-            }
-            continue;
-        };
+    let (pairs, unmatched_old, unmatched_new) = pair(&old, &new);
+    for &i in &unmatched_old {
+        if json_out {
+            missing.push(Json::Str(label(&old[i])));
+        } else {
+            println!("~ {}: missing from {new_path}", label(&old[i]));
+        }
+    }
+    for &(i, j) in &pairs {
+        let (o, n) = (&old[i], &new[j]);
         compared += 1;
         if !json_out {
-            println!("== {} (threshold {threshold}%)", o.name);
+            println!("== {} (threshold {threshold}%)", label(o));
             if o.verdict != n.verdict {
                 println!("   verdict: {} -> {}", o.verdict, n.verdict);
             }
@@ -196,6 +262,7 @@ fn main() -> ExitCode {
         if json_out {
             report_docs.push(Json::obj([
                 ("name".to_string(), Json::Str(o.name.clone())),
+                ("label".to_string(), Json::Str(label(o))),
                 ("old_verdict".to_string(), Json::Str(o.verdict.clone())),
                 ("new_verdict".to_string(), Json::Str(n.verdict.clone())),
                 ("metrics".to_string(), Json::Arr(metric_docs)),
@@ -204,17 +271,15 @@ fn main() -> ExitCode {
         }
     }
     let mut added: Vec<Json> = Vec::new();
-    for n in &new {
-        if !old.iter().any(|o| o.name == n.name) {
-            if json_out {
-                added.push(Json::Str(n.name.clone()));
-            } else {
-                println!("+ {}: new in {new_path}", n.name);
-            }
+    for &j in &unmatched_new {
+        if json_out {
+            added.push(Json::Str(label(&new[j])));
+        } else {
+            println!("+ {}: new in {new_path}", label(&new[j]));
         }
     }
     if compared == 0 {
-        eprintln!("error: no report names in common");
+        eprintln!("error: no reports in common");
         return ExitCode::from(2);
     }
     if json_out {
@@ -237,5 +302,66 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(threads: u32, secs: f64) -> RunReport {
+        RunReport::new("verify/msi")
+            .param("threads", threads)
+            .metric("elapsed_secs", secs)
+    }
+
+    #[test]
+    fn reports_sharing_a_name_pair_by_setup() {
+        // The same name at two setups, in a different order on each side:
+        // each report pairs with its own setup, never with the other one.
+        let old = [run(1, 1.0), run(4, 9.0), RunReport::new("experiments/e9")];
+        let new = [run(4, 9.0), RunReport::new("experiments/e9"), run(1, 1.0)];
+        let (pairs, missing, added) = pair(&old, &new);
+        assert_eq!(pairs, [(0, 2), (1, 0), (2, 1)]);
+        assert!(missing.is_empty() && added.is_empty());
+        for (i, j) in pairs {
+            assert_eq!(key(&old[i]), key(&new[j]));
+        }
+    }
+
+    #[test]
+    fn a_file_diffed_against_itself_pairs_every_report_with_itself() {
+        let reports = [run(1, 1.0), run(1, 2.0), run(2, 3.0), run(1, 4.0)];
+        let (pairs, missing, added) = pair(&reports, &reports);
+        assert_eq!(pairs, [(0, 0), (1, 1), (2, 2), (3, 3)]);
+        assert!(missing.is_empty() && added.is_empty());
+    }
+
+    #[test]
+    fn a_rerun_appended_to_the_new_file_is_the_one_compared() {
+        let old = [run(1, 1.0)];
+        let new = [run(1, 1.0), run(1, 1.5)];
+        let (pairs, missing, added) = pair(&old, &new);
+        assert_eq!(pairs, [(0, 1)]);
+        assert!(missing.is_empty());
+        assert_eq!(added, [0]);
+    }
+
+    #[test]
+    fn outcome_params_do_not_split_a_pair() {
+        // A run that was cut by its budget still pairs with one that finished.
+        let old = [run(1, 1.0).param("interrupt", "state cap reached")];
+        let new = [run(1, 1.0)];
+        let (pairs, missing, added) = pair(&old, &new);
+        assert_eq!(pairs, [(0, 0)]);
+        assert!(missing.is_empty() && added.is_empty());
+        assert_eq!(label(&old[0]), "verify/msi [threads=1]");
+    }
+
+    #[test]
+    fn unmatched_setups_are_missing_and_added() {
+        let (pairs, missing, added) = pair(&[run(1, 1.0)], &[run(2, 1.0)]);
+        assert!(pairs.is_empty());
+        assert_eq!((missing, added), (vec![0], vec![0]));
     }
 }

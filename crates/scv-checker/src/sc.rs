@@ -757,6 +757,9 @@ impl ScChecker {
     /// through `view`) into an arbitrary [`scv_descriptor::EncSink`] —
     /// e.g. an incremental lexicographic comparator that aborts the walk
     /// at the first losing word during orbit-minimum canonicalization.
+    /// With a `view` the walk emits exactly what the renamed checker
+    /// would; `ids` must then be the one already threaded through the
+    /// paired observer's view encoding.
     pub fn canonical_encoding_into<S: scv_descriptor::EncSink>(
         &self,
         out: &mut S,
@@ -764,21 +767,6 @@ impl ScChecker {
         view: Option<&scv_descriptor::SymView<'_>>,
     ) {
         self.encode_canonical(out, ids, view);
-    }
-
-    /// [`ScChecker::canonical_encoding`] as it would read after renaming
-    /// every processor/block/value identity through `view` — emits exactly
-    /// the sequence the renamed checker would emit. `ids` must be the same
-    /// [`scv_descriptor::IdCanon`] (built with
-    /// [`scv_descriptor::IdCanon::with_locs`]) already threaded through the
-    /// paired observer's view encoding.
-    pub fn canonical_encoding_with(
-        &self,
-        out: &mut Vec<u64>,
-        ids: &mut scv_descriptor::IdCanon<'_>,
-        view: &scv_descriptor::SymView<'_>,
-    ) {
-        self.encode_canonical(out, ids, Some(view));
     }
 
     fn encode_canonical<S: scv_descriptor::EncSink>(

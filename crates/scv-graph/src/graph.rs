@@ -149,54 +149,9 @@ impl ConstraintGraph {
     /// (first node repeated at the end), or `None` if acyclic. Used for
     /// counterexample reporting.
     pub fn find_cycle(&self) -> Option<Vec<usize>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let n = self.node_count();
-        let mut color = vec![WHITE; n];
-        let mut parent = vec![usize::MAX; n];
-        for start in 0..n {
-            if color[start] != WHITE {
-                continue;
-            }
-            // Iterative DFS with explicit edge cursors.
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            color[start] = GRAY;
-            while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
-                if *cursor < self.adj[u].len() {
-                    let v = self.adj[u][*cursor].0 as usize;
-                    *cursor += 1;
-                    match color[v] {
-                        WHITE => {
-                            color[v] = GRAY;
-                            parent[v] = u;
-                            stack.push((v, 0));
-                        }
-                        GRAY => {
-                            // Found a back edge u -> v: the cycle is v, the
-                            // tree path v -> ... -> u, then back to v.
-                            let mut path = Vec::new();
-                            let mut cur = u;
-                            while cur != v {
-                                path.push(cur);
-                                cur = parent[cur];
-                            }
-                            path.reverse();
-                            let mut cycle = Vec::with_capacity(path.len() + 2);
-                            cycle.push(v);
-                            cycle.extend(path);
-                            cycle.push(v);
-                            return Some(cycle);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[u] = BLACK;
-                    stack.pop();
-                }
-            }
-        }
-        None
+        find_cycle_in(self.node_count(), |u| {
+            self.adj[u].iter().map(|&(v, _)| v as usize)
+        })
     }
 
     /// The *node bandwidth* of the graph under its natural node order
@@ -250,6 +205,64 @@ impl PartialEq for ConstraintGraph {
 }
 
 impl Eq for ConstraintGraph {}
+
+/// Find a directed cycle in the graph over nodes `0..n` whose out-neighbours
+/// of `u` are `succ(u)`, as a node sequence `v0 -> v1 -> ... -> v0` (first
+/// node repeated at the end), or `None` if acyclic. Parallel edges and
+/// self-loops are handled, so partial graphs decoded from a descriptor
+/// window work as well as a [`ConstraintGraph`].
+pub fn find_cycle_in<I: Iterator<Item = usize>>(
+    n: usize,
+    succ: impl Fn(usize) -> I,
+) -> Option<Vec<usize>> {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    const BLACK: u8 = 2;
+    let mut color = vec![WHITE; n];
+    let mut parent = vec![usize::MAX; n];
+    for start in 0..n {
+        if color[start] != WHITE {
+            continue;
+        }
+        // Iterative DFS: each stack entry holds its node's remaining
+        // out-neighbours.
+        let mut stack = vec![(start, succ(start))];
+        color[start] = GRAY;
+        while let Some((u, next)) = stack.last_mut() {
+            let u = *u;
+            let Some(v) = next.next() else {
+                color[u] = BLACK;
+                stack.pop();
+                continue;
+            };
+            match color[v] {
+                WHITE => {
+                    color[v] = GRAY;
+                    parent[v] = u;
+                    stack.push((v, succ(v)));
+                }
+                GRAY => {
+                    // Found a back edge u -> v: the cycle is v, the tree
+                    // path v -> ... -> u, then back to v.
+                    let mut path = Vec::new();
+                    let mut cur = u;
+                    while cur != v {
+                        path.push(cur);
+                        cur = parent[cur];
+                    }
+                    path.reverse();
+                    let mut cycle = Vec::with_capacity(path.len() + 2);
+                    cycle.push(v);
+                    cycle.extend(path);
+                    cycle.push(v);
+                    return Some(cycle);
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
 
 impl fmt::Display for ConstraintGraph {
     /// Lists nodes and edges in the naive descriptor style of §3.2, with
@@ -411,5 +424,39 @@ mod tests {
         assert_eq!(ConstraintGraph::new().bandwidth(), 0);
         let g = ConstraintGraph::with_nodes([st(1, 1, 1), st(1, 1, 2)]);
         assert_eq!(g.bandwidth(), 0);
+    }
+
+    /// [`find_cycle_in`] over a plain edge list.
+    fn cycle_of(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
+        find_cycle_in(n, |u| {
+            edges
+                .iter()
+                .filter(move |&&(from, _)| from == u)
+                .map(|&(_, to)| to)
+        })
+    }
+
+    #[test]
+    fn acyclic_edge_list_has_no_cycle() {
+        assert_eq!(cycle_of(3, &[(0, 1), (1, 2)]), None);
+    }
+
+    #[test]
+    fn cycle_found_with_first_node_repeated() {
+        let edges = [(0, 1), (1, 2), (2, 0)];
+        let cycle = cycle_of(3, &edges).expect("cyclic");
+        assert_eq!(cycle.first(), cycle.last());
+        assert!(cycle.len() >= 3);
+        for w in cycle.windows(2) {
+            assert!(
+                edges.contains(&(w[0], w[1])),
+                "cycle step {w:?} is not an edge"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_list_self_loop_is_a_cycle() {
+        assert_eq!(cycle_of(2, &[(1, 1)]), Some(vec![1, 1]));
     }
 }

@@ -29,7 +29,6 @@ pub mod axioms;
 pub mod baseline;
 pub mod dot;
 pub mod edge;
-pub mod explain;
 pub mod graph;
 pub mod lemma31;
 pub mod random;
@@ -37,9 +36,8 @@ pub mod serial_search;
 
 pub use axioms::{validate_constraint_graph, AxiomViolation};
 pub use baseline::{saturated_graph, BaselineChecker, BaselineVerdict, Witness, WitnessError};
-pub use dot::{to_dot, to_dot_with_cycle};
+pub use dot::annotated_dot;
 pub use edge::EdgeSet;
-pub use explain::{annotated_dot, find_cycle_in};
-pub use graph::ConstraintGraph;
+pub use graph::{find_cycle_in, ConstraintGraph};
 pub use lemma31::{graph_from_serial_reordering, serial_reordering_from_graph};
 pub use serial_search::has_serial_reordering;

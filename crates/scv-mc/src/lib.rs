@@ -26,7 +26,9 @@
 //!   sequentially consistent), or [`Outcome::Violation`] with the
 //!   offending run, or [`Outcome::Bounded`] if a limit was hit first, or
 //!   [`Outcome::Inconclusive`] when a [`Budget`] tripped or the
-//!   [`CancelToken`] fired;
+//!   [`CancelToken`] fired. It and [`VerifySystem::search`] both run
+//!   through [`VerifySystem::try_search`], which emits one `verify/<protocol>`
+//!   run report per run when telemetry is installed;
 //! * run control & checkpointing — [`Budget`], [`CancelToken`], and the
 //!   `*_controlled` entry points interrupt a search at a consistent
 //!   point; [`checkpoint::CheckpointFile`] serializes it, and
@@ -50,6 +52,7 @@ pub use mc::{
 pub use seen::StripedSeen;
 pub use sip::{Sip, SipBuild, SipHasher13};
 pub use verify::{
-    verify_protocol, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState, VerifySystem,
+    verdict_str, verify_protocol, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
+    VerifySystem,
 };
 pub use ws::{bfs_controlled, ws_search, ws_search_controlled, WorkerStats, DEFAULT_BATCH};

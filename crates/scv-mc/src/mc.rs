@@ -194,9 +194,9 @@ pub trait TransitionSystem {
     fn violation(&self, s: &Self::State) -> Option<Self::Violation>;
 
     /// Append all successors of `s` to `out` instead of allocating a
-    /// fresh `Vec`. Checkpoint replay and [`eager_expand`] call this with
-    /// a reused buffer; implementations that can generate successors
-    /// in place should override it (the default delegates to
+    /// fresh `Vec`. Only [`eager_expand`], the reference expansion path,
+    /// calls this; implementations that can generate successors in place
+    /// should override it (the default delegates to
     /// [`TransitionSystem::successors`]).
     fn successors_into(&self, s: &Self::State, out: &mut Vec<(Self::Label, Self::State)>) {
         out.extend(self.successors(s));

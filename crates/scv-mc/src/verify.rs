@@ -598,8 +598,8 @@ impl<P: Symmetry> SealCore<P> {
             };
             ids.reset();
             ids.set_locs(&e.locs);
-            obs.canonical_encoding_with(cand, &mut ids, &view);
-            chk.canonical_encoding_with(cand, &mut ids, &view);
+            obs.canonical_encoding_into(cand, &mut ids, Some(&view));
+            chk.canonical_encoding_into(cand, &mut ids, Some(&view));
             match (*cand).cmp(best) {
                 std::cmp::Ordering::Less => {
                     std::mem::swap(best, cand);
@@ -762,8 +762,10 @@ impl<P: Symmetry> VerifySystem<P> {
     }
 
     /// Select admission-gated lazy materialization (`true`, the default)
-    /// or the eager reference expansion path (`false`). Consuming builder,
-    /// consistent with [`VerifySystem::with_symmetry`]:
+    /// or the eager reference expansion path (`false`). This is the only
+    /// way to select the eager path, which exists as the oracle the parity
+    /// tests and the `perf` harness compare the lazy path against.
+    /// Consuming builder, consistent with [`VerifySystem::with_symmetry`]:
     ///
     /// ```ignore
     /// let sys = VerifySystem::with_symmetry(p, SymmetryMode::Full).lazy(false);
@@ -838,9 +840,8 @@ where
         out
     }
 
-    // Checkpoint replay and the eager path expand through this with a
-    // reused buffer, so they do not allocate a successor vector per
-    // state.
+    // Only the eager reference path (`eager_expand`) expands through
+    // this; production runs and checkpoint replay use `expand_admitted`.
     fn successors_into(&self, s: &Self::State, out: &mut Vec<(Action, Self::State)>) {
         if s.error.is_some() {
             return; // rejection is absorbing
@@ -1112,15 +1113,10 @@ pub struct VerifyOptions {
     /// per seen-set lock acquisition.
     pub batch_size: usize,
     /// Symmetry reduction: quotient the product space by the protocol's
-    /// declared symmetry group.
+    /// declared symmetry group. Consumed by [`verify_protocol`] when it
+    /// builds the system; [`VerifySystem::search`] runs whatever quotient
+    /// the system was built with.
     pub symmetry: SymmetryMode,
-    /// Admission-gated lazy state materialization (the default). `false`
-    /// selects the eager reference path: every successor is fully
-    /// materialized before the seen-set probe. Consumed by
-    /// [`verify_protocol`] when it builds the system;
-    /// [`VerifySystem::search`] runs whatever the system was configured
-    /// with.
-    pub lazy: bool,
     /// Resource budget for the run (wall clock, admitted states, resident
     /// memory). Tripping yields [`Outcome::Inconclusive`].
     pub budget: Budget,
@@ -1146,7 +1142,6 @@ impl Default for VerifyOptions {
             threads: 1,
             batch_size: DEFAULT_BATCH,
             symmetry: SymmetryMode::Off,
-            lazy: true,
             budget: Budget::unlimited(),
             cancel: CancelToken::new(),
             checkpoint_every: None,
@@ -1197,13 +1192,6 @@ impl VerifyOptions {
     /// Symmetry reduction mode.
     pub fn symmetry(mut self, m: SymmetryMode) -> Self {
         self.symmetry = m;
-        self
-    }
-
-    /// Admission-gated lazy materialization (`true`, the default) or the
-    /// eager reference expansion path (`false`).
-    pub fn lazy(mut self, on: bool) -> Self {
-        self.lazy = on;
         self
     }
 
@@ -1372,7 +1360,62 @@ where
     /// The resume path is exact: verdicts and state counts match an
     /// uninterrupted run (the search drains to a consistent point before
     /// checkpointing; see `crate::control`).
+    ///
+    /// With telemetry installed, every run that reaches an [`Outcome`]
+    /// emits one [`scv_telemetry::RunReport`] named `verify/<protocol>`
+    /// with the verdict and search stats (and, for an inconclusive run,
+    /// the interrupt reason and frontier size).
     pub fn try_search(&self, opts: &VerifyOptions) -> Result<Outcome, CheckpointError> {
+        let out = self.run_slices(opts)?;
+        if scv_telemetry::enabled() {
+            self.emit_run_report(opts, &out);
+        }
+        Ok(out)
+    }
+
+    /// The run report [`VerifySystem::try_search`] emits for `out`.
+    fn emit_run_report(&self, opts: &VerifyOptions, out: &Outcome) {
+        let name = self.protocol().name();
+        let params = self.protocol().params();
+        let s = out.stats();
+        let mut report = scv_telemetry::RunReport::new(format!("verify/{name}"))
+            .param("protocol", name)
+            .param("p", params.p.to_string())
+            .param("b", params.b.to_string())
+            .param("v", params.v.to_string())
+            .param("threads", opts.threads.to_string())
+            .param("batch", opts.batch_size.to_string())
+            .param("max_states", opts.bfs.max_states.to_string())
+            .param("symmetry", format!("{:?}", self.mode))
+            .param("symmetry_group", self.symmetry_group_order().to_string())
+            .param("expand", if self.is_lazy() { "lazy" } else { "eager" })
+            .with_verdict(verdict_str(out))
+            .metric("states", s.states as f64)
+            .metric("transitions", s.transitions as f64)
+            .metric("depth", s.depth as f64)
+            .metric("elapsed_secs", s.elapsed.as_secs_f64())
+            .metric("states_per_sec", s.states_per_sec())
+            .metric("peak_frontier", s.peak_frontier as f64)
+            .metric("steals", s.steals as f64)
+            .metric("seen_batches", s.seen_batches as f64);
+        // Omitted (not zero) when the platform can't report it.
+        if let Some(rss) = scv_telemetry::peak_rss_bytes() {
+            report = report.metric("peak_rss_bytes", rss as f64);
+        }
+        if let Outcome::Inconclusive {
+            reason, coverage, ..
+        } = out
+        {
+            report = report
+                .param("interrupt", reason.to_string())
+                .metric("frontier", coverage.frontier as f64);
+        }
+        scv_telemetry::emit_report(report);
+    }
+
+    /// The search loop behind [`VerifySystem::try_search`]: resume, run
+    /// slice by slice, checkpoint at ticks and trips.
+    fn run_slices(&self, opts: &VerifyOptions) -> Result<Outcome, CheckpointError> {
         let run_start = Instant::now();
         let mut resume = match &opts.resume_from {
             Some(path) => Some(self.rebuild_checkpoint(&CheckpointFile::load(path)?)?),
@@ -1549,7 +1592,10 @@ where
         let mut cache: HashMap<u128, VerifyState<P::State>> = HashMap::new();
         cache.insert(init_fp, init);
         let mut frontier = Vec::with_capacity(file.frontier.len());
-        let mut succs = Vec::new();
+        // Replay through the production expansion path, admitting only the
+        // candidate whose fingerprint is the recorded child's.
+        let mut scratch = self.expand_scratch();
+        let mut admitted = Vec::new();
         for &(fp, depth) in &file.frontier {
             let mut chain = Vec::new();
             let mut cur = fp;
@@ -1567,12 +1613,14 @@ where
             }
             let mut state = cache[&cur].clone();
             for &(child_fp, action) in chain.iter().rev() {
-                succs.clear();
-                self.successors_into(&state, &mut succs);
-                let next = succs
-                    .drain(..)
-                    .find(|(a, s)| *a == action && fper.fp(s) == child_fp);
-                let Some((_, s)) = next else {
+                admitted.clear();
+                let mut admit = |fps: &[u128], keep: &mut Vec<bool>| {
+                    keep.clear();
+                    keep.extend(fps.iter().map(|&fp| fp == child_fp));
+                };
+                self.expand_admitted(&state, &mut scratch, &fper, &mut admit, &mut admitted);
+                let next = admitted.drain(..).find(|(a, _, _)| *a == action);
+                let Some((_, s, _)) = next else {
                     return Err(CheckpointError::Mismatch(format!(
                         "replaying {action:?} did not reproduce fingerprint {child_fp:#034x} \
                          (protocol behaviour changed since the checkpoint?)"
@@ -1596,14 +1644,25 @@ where
     }
 }
 
+/// Canonical short verdict string for an [`Outcome`] — the single
+/// spelling shared by the `verify/…` run reports, the CLI summary lines,
+/// and the benchmark records.
+pub fn verdict_str(out: &Outcome) -> &'static str {
+    match out {
+        Outcome::Verified { .. } => "verified",
+        Outcome::Violation { .. } => "violation",
+        Outcome::Bounded { .. } => "bounded",
+        Outcome::Inconclusive { .. } => "inconclusive",
+    }
+}
+
 /// Run the complete §3.4 method on a protocol.
 pub fn verify_protocol<P>(protocol: P, opts: VerifyOptions) -> Outcome
 where
     P: Symmetry + Sync,
     P::State: Send + Sync + 'static,
 {
-    let sys = VerifySystem::with_symmetry(protocol, opts.symmetry).lazy(opts.lazy);
-    sys.search(&opts)
+    VerifySystem::with_symmetry(protocol, opts.symmetry).search(&opts)
 }
 
 #[cfg(test)]

@@ -23,8 +23,10 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
-use scv_protocol::{DirectoryProtocol, LazyCaching, MesiProtocol, MsiProtocol, SerialMemory};
+use scv_mc::{Outcome, SymmetryMode, VerifyOptions, VerifySystem};
+use scv_protocol::{
+    DirectoryProtocol, LazyCaching, MesiProtocol, MsiProtocol, SerialMemory, Symmetry,
+};
 use scv_types::Params;
 
 fn verdict(out: &Outcome) -> &'static str {
@@ -35,6 +37,17 @@ fn verdict(out: &Outcome) -> &'static str {
         // No budget/cancel is configured here, so this can't occur.
         Outcome::Inconclusive { .. } => "Inconclusive",
     }
+}
+
+/// One sequential search through the lazy or the eager expansion path.
+fn search<P>(proto: P, sym: SymmetryMode, lazy: bool, cap: usize) -> Outcome
+where
+    P: Symmetry + Sync,
+    P::State: Send + Sync + 'static,
+{
+    VerifySystem::with_symmetry(proto, sym)
+        .lazy(lazy)
+        .search(&VerifyOptions::new().max_states(cap))
 }
 
 /// Run one configuration through both expansion paths and demand exact
@@ -48,18 +61,12 @@ fn assert_parity(
     cap: usize,
 ) -> Result<(), TestCaseError> {
     let params = Params::new(p, b, v);
-    let run = |lazy: bool| {
-        let opts = VerifyOptions::new()
-            .max_states(cap)
-            .symmetry(sym)
-            .lazy(lazy);
-        match proto {
-            0 => verify_protocol(SerialMemory::new(params), opts),
-            1 => verify_protocol(MsiProtocol::new(params), opts),
-            2 => verify_protocol(MesiProtocol::new(params), opts),
-            3 => verify_protocol(DirectoryProtocol::new(params), opts),
-            _ => verify_protocol(LazyCaching::new(params, 1, 1), opts),
-        }
+    let run = |lazy: bool| match proto {
+        0 => search(SerialMemory::new(params), sym, lazy, cap),
+        1 => search(MsiProtocol::new(params), sym, lazy, cap),
+        2 => search(MesiProtocol::new(params), sym, lazy, cap),
+        3 => search(DirectoryProtocol::new(params), sym, lazy, cap),
+        _ => search(LazyCaching::new(params, 1, 1), sym, lazy, cap),
     };
     let eager = run(false);
     let lazy = run(true);

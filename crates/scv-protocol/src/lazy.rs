@@ -9,7 +9,11 @@
 //!   broadcasts the update into every in-queue (starred in `In_P` itself);
 //! * `cache-update CU(P)` pops the head of `In_P` into `P`'s cache;
 //! * `memory-read MR(P,B)` spontaneously refreshes `P`'s cache from
-//!   memory; `cache-invalidate CI(P,B)` drops a cache entry;
+//!   memory, but only while `In_P` holds no pending update to `B` (as in
+//!   Afek et al. and the paper's §4.2): otherwise a later `CU(P)` would
+//!   overwrite the fresh value with the older queued one, and `P` could
+//!   read `B`'s values out of memory-write order;
+//! * `cache-invalidate CI(P,B)` drops a cache entry;
 //! * `LD(P,B,V)` is enabled only when `Out_P` is empty and `In_P` holds no
 //!   starred entries (so a processor observes its own writes in order).
 //!
@@ -269,12 +273,18 @@ impl Protocol for LazyCaching {
                 });
             }
 
-            // MR(P,B): spontaneous cache refresh from memory; CI(P,B):
-            // spontaneous invalidation.
+            // MR(P,B): cache refresh from memory, guarded by "no pending
+            // update to B in In_P"; CI(P,B): spontaneous invalidation.
             for b in self.params.blocks() {
-                let mut next = s.clone();
-                next.cache[p.idx() * pb + b.idx()] = Some(s.mem[b.idx()]);
-                if next.cache != s.cache {
+                let slot = p.idx() * pb + b.idx();
+                let pending = self
+                    .in_slice(s, p)
+                    .iter()
+                    .flatten()
+                    .any(|&(blk, _, _)| blk == b.0);
+                if !pending && s.cache[slot] != Some(s.mem[b.idx()]) {
+                    let mut next = s.clone();
+                    next.cache[slot] = Some(s.mem[b.idx()]);
                     out.push(Transition {
                         action: Action::Internal("MR", self.cache_loc(p, b)),
                         next,
@@ -284,9 +294,9 @@ impl Protocol for LazyCaching {
                         )]),
                     });
                 }
-                if s.cache[p.idx() * pb + b.idx()].is_some() {
+                if s.cache[slot].is_some() {
                     let mut next = s.clone();
-                    next.cache[p.idx() * pb + b.idx()] = None;
+                    next.cache[slot] = None;
                     out.push(Transition {
                         action: Action::Internal("CI", self.cache_loc(p, b)),
                         next,
@@ -428,6 +438,29 @@ mod tests {
             .enabled()
             .iter()
             .any(|t| t.action.op() == Some(Op::load(ProcId(1), BlockId(1), Value(1)))));
+    }
+
+    #[test]
+    fn memory_read_waits_for_pending_updates_to_its_block() {
+        let p = proto();
+        let mut r = Runner::new(p.clone());
+        for want in [
+            Action::Mem(Op::store(ProcId(1), BlockId(1), Value(1))),
+            Action::Internal("MW", 1),
+        ] {
+            let t = r.enabled().into_iter().find(|t| t.action == want).unwrap();
+            r.take(t);
+        }
+        // In_2 now holds the update to B1: P2 may not refresh B1 from
+        // memory, but B2 (nothing pending) is still refreshable.
+        let mr = |r: &Runner<LazyCaching>, b: u8| {
+            let loc = p.cache_loc(ProcId(2), BlockId(b));
+            r.enabled()
+                .iter()
+                .any(|t| t.action == Action::Internal("MR", loc))
+        };
+        assert!(!mr(&r, 1));
+        assert!(mr(&r, 2));
     }
 
     #[test]

@@ -18,9 +18,11 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// The machine-readable record of one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
-    /// Report name (protocol, experiment id, …) — the diff join key.
+    /// Report name (protocol, experiment id, …). `report_diff` joins on
+    /// the name together with the setup params.
     pub name: String,
-    /// Static parameters (`threads`, `batch`, protocol sizes, …).
+    /// Static parameters (`threads`, `batch`, protocol sizes, …), plus
+    /// `interrupt` on a run that was cut short.
     pub params: Vec<(String, String)>,
     /// Outcome label (`verified`, `violation`, `bounded`, `ok`, …).
     pub verdict: String,

@@ -18,7 +18,7 @@ use sc_verify::protocol::Step;
 fn main() {
     println!("Hunting the lost-invalidation bug in MSI (p=2, b=2, v=1)…\n");
     let proto = MsiProtocol::buggy(Params::new(2, 2, 1));
-    let outcome = Verifier::new(proto.clone()).run();
+    let outcome = verify_protocol(proto.clone(), VerifyOptions::new());
 
     let Outcome::Violation {
         run,

@@ -114,7 +114,7 @@ fn main() {
 
     println!("\n=== 3. Model checking (bounded) ===\n");
     let small = LazyCaching::new(Params::new(2, 1, 1), 1, 1);
-    let outcome = Verifier::new(small).max_states(150_000).run();
+    let outcome = verify_protocol(small, VerifyOptions::new().max_states(150_000));
     let s = outcome.stats();
     let verdict = match &outcome {
         Outcome::Verified { .. } => "VERIFIED (exhaustive)",

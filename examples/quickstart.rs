@@ -48,41 +48,46 @@ fn main() {
 
     // The smallest serial memory: exhaustively VERIFIED (the product
     // space converges at roughly 120k states).
-    let outcome = Verifier::new(SerialMemory::new(Params::new(2, 1, 1)))
-        .max_states(400_000)
-        .run();
+    let outcome = verify_protocol(
+        SerialMemory::new(Params::new(2, 1, 1)),
+        VerifyOptions::new().max_states(400_000),
+    );
     report("serial-memory (2,1,1)", &outcome);
     assert!(outcome.is_verified());
 
     // A correct MSI protocol: larger products (millions of states — see
     // DESIGN.md) are explored up to a cap; a correct protocol never
     // produces a violation, bounded or not.
-    let outcome = Verifier::new(MsiProtocol::new(Params::new(2, 1, 2)))
-        .max_states(150_000)
-        .run();
+    let outcome = verify_protocol(
+        MsiProtocol::new(Params::new(2, 1, 2)),
+        VerifyOptions::new().max_states(150_000),
+    );
     report("msi (2,1,2)", &outcome);
     assert!(!matches!(outcome, Outcome::Violation { .. }));
 
     // MESI with silent E->M upgrades: likewise safe within the cap.
-    let outcome = Verifier::new(MesiProtocol::new(Params::new(2, 1, 2)))
-        .max_states(150_000)
-        .run();
+    let outcome = verify_protocol(
+        MesiProtocol::new(Params::new(2, 1, 2)),
+        VerifyOptions::new().max_states(150_000),
+    );
     report("mesi (2,1,2)", &outcome);
     assert!(!matches!(outcome, Outcome::Violation { .. }));
 
     // MSI with a lost invalidation: NOT SC — the model checker returns a
     // shortest violating run whose trace genuinely has no serial
     // reordering.
-    let outcome = Verifier::new(MsiProtocol::buggy(Params::new(2, 2, 1)))
-        .max_states(2_000_000)
-        .run();
+    let outcome = verify_protocol(
+        MsiProtocol::buggy(Params::new(2, 2, 1)),
+        VerifyOptions::new().max_states(2_000_000),
+    );
     report("msi-buggy (2,2,1)", &outcome);
     assert!(!outcome.is_verified());
 
     // A TSO store buffer: the store-buffering litmus violates SC.
-    let outcome = Verifier::new(StoreBufferTso::new(Params::new(2, 2, 1), 1))
-        .max_states(2_000_000)
-        .run();
+    let outcome = verify_protocol(
+        StoreBufferTso::new(Params::new(2, 2, 1), 1),
+        VerifyOptions::new().max_states(2_000_000),
+    );
     report("store-buffer (2,2,1)", &outcome);
     assert!(!outcome.is_verified());
 
@@ -90,10 +95,12 @@ fn main() {
     // an INCONCLUSIVE verdict with coverage, instead of an open-ended
     // wait. Pair it with a checkpoint path and the run is resumable (see
     // `scv verify --timeout --checkpoint --resume`).
-    let outcome = Verifier::new(MsiProtocol::new(Params::new(2, 1, 2)))
-        .max_states(50_000_000)
-        .timeout(std::time::Duration::from_millis(50))
-        .run();
+    let outcome = verify_protocol(
+        MsiProtocol::new(Params::new(2, 1, 2)),
+        VerifyOptions::new()
+            .max_states(50_000_000)
+            .timeout(std::time::Duration::from_millis(50)),
+    );
     report("msi (50ms deadline)", &outcome);
     assert!(outcome.is_inconclusive());
 

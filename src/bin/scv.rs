@@ -3,7 +3,7 @@
 //! ```text
 //! scv verify <protocol> [-p N] [-b N] [-v N] [--threads N] [--max-states N]
 //!                       [--batch N]
-//!                       [--symmetry off|proc|full|full-enum] [--expand lazy|eager]
+//!                       [--symmetry off|proc|full|full-enum]
 //!                       [--timeout SECS] [--checkpoint PATH]
 //!                       [--checkpoint-every SECS] [--resume PATH]
 //!                       # --timeout trips to an Inconclusive verdict (exit 3)
@@ -56,7 +56,6 @@ struct Args {
     max_states: usize,
     batch: usize,
     symmetry: SymmetryMode,
-    lazy: bool,
     steps: usize,
     seed: u64,
     progress: bool,
@@ -78,7 +77,6 @@ impl Args {
             max_states: 2_000_000,
             batch: sc_verify::mc::DEFAULT_BATCH,
             symmetry: SymmetryMode::default(),
-            lazy: true,
             steps: 100,
             seed: 0,
             progress: false,
@@ -146,25 +144,7 @@ impl Args {
                 "--dot" => {
                     a.dot = Some(it.next().ok_or("--dot needs a path".to_string())?.clone());
                 }
-                "--expand" => {
-                    let v = it.next().ok_or("--expand needs a value (lazy | eager)")?;
-                    a.lazy = match v.as_str() {
-                        "lazy" => true,
-                        "eager" => false,
-                        other => {
-                            return Err(format!("unknown expand mode `{other}` (lazy | eager)"))
-                        }
-                    };
-                }
                 other => {
-                    if let Some(v) = other.strip_prefix("--expand=") {
-                        a.lazy = match v {
-                            "lazy" => true,
-                            "eager" => false,
-                            _ => return Err(format!("unknown expand mode `{v}` (lazy | eager)")),
-                        };
-                        continue;
-                    }
                     let sym = if let Some(v) = other.strip_prefix("--symmetry=") {
                         Some(v.to_string())
                     } else if other == "--symmetry" {
@@ -205,8 +185,7 @@ impl Args {
             .max_states(self.max_states)
             .threads(self.threads)
             .batch_size(self.batch)
-            .symmetry(self.symmetry)
-            .lazy(self.lazy);
+            .symmetry(self.symmetry);
         if let Some(d) = self.timeout {
             o = o.timeout(d);
         }
@@ -220,6 +199,23 @@ impl Args {
             o = o.resume_from(p);
         }
         o
+    }
+
+    /// Runs the search these options describe on `p`, under the symmetry
+    /// mode they name. A checkpoint error is reported on stderr and becomes
+    /// exit code 2.
+    fn search<P>(&self, p: P) -> Result<Outcome, ExitCode>
+    where
+        P: Symmetry + Sync,
+        P::State: Send + Sync + 'static,
+    {
+        let opts = self.verify_options();
+        VerifySystem::with_symmetry(p, opts.symmetry)
+            .try_search(&opts)
+            .map_err(|e| {
+                eprintln!("error: checkpoint: {e}");
+                ExitCode::from(2)
+            })
     }
 }
 
@@ -537,10 +533,6 @@ fn run(argv: &[String]) -> ExitCode {
                         ("threads".into(), args.threads.to_string()),
                         ("max_states".into(), args.max_states.to_string()),
                         ("symmetry".into(), format!("{:?}", args.symmetry)),
-                        (
-                            "expand".into(),
-                            (if args.lazy { "lazy" } else { "eager" }).to_string(),
-                        ),
                     ],
                 });
             }
@@ -550,18 +542,15 @@ fn run(argv: &[String]) -> ExitCode {
                     ..Default::default()
                 })
             });
-            // The facade owns the RunReport (params, verdict, metrics), so
+            // The search emits the RunReport (params, verdict, metrics), so
             // the CLI only adds the RunStart event and the summary lines.
-            let run = Verifier::with_options(p, args.verify_options()).run_controlled();
+            let run = args.search(p);
             if let Some(t) = ticker {
                 t.stop();
             }
             let out = match run {
                 Ok(out) => out,
-                Err(e) => {
-                    eprintln!("error: checkpoint: {e}");
-                    return ExitCode::from(2);
-                }
+                Err(code) => return code,
             };
             let s = out.stats();
             match out {
@@ -633,19 +622,15 @@ fn run(argv: &[String]) -> ExitCode {
                     ..Default::default()
                 })
             });
-            let run = Verifier::with_options(p, args.verify_options()).run_controlled();
+            let run = args.search(p);
             if let Some(t) = ticker {
                 t.stop();
             }
+            telemetry::recorder::recorder_stop();
             let out = match run {
                 Ok(out) => out,
-                Err(e) => {
-                    telemetry::recorder::recorder_stop();
-                    eprintln!("error: checkpoint: {e}");
-                    return ExitCode::from(2);
-                }
+                Err(code) => return code,
             };
-            telemetry::recorder::recorder_stop();
             let timelines = telemetry::recorder::drain();
             let s = out.stats();
             match telemetry::write_chrome_trace(std::path::Path::new(&out_path), &timelines) {
@@ -689,14 +674,10 @@ fn run(argv: &[String]) -> ExitCode {
                 args.v,
                 args.max_states
             );
-            let out =
-                match Verifier::with_options(p.clone(), args.verify_options()).run_controlled() {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("error: checkpoint: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
+            let out = match args.search(p.clone()) {
+                Ok(out) => out,
+                Err(code) => return code,
+            };
             match out {
                 Outcome::Violation { run, .. } => match explain_violation(&p, &run) {
                     Ok(ex) => {

@@ -1,7 +1,7 @@
 //! Counterexample explanation: turn a rejected run into an annotated
 //! constraint graph and a human-readable narration.
 //!
-//! A [`crate::verifier::Verifier`] violation hands back the offending
+//! A [`scv_mc::Outcome::Violation`] hands back the offending
 //! run's actions and the checker's diagnosis — enough to know *that* SC
 //! failed, but not *why*. This module replays the run through a fresh
 //! observer, locates the rejecting symbol, decodes the descriptor window
@@ -132,7 +132,11 @@ fn build_explanation(
     });
     let (cycle, dot, node_labels) = match &decoded {
         Some((g, _)) => {
-            let cycle = find_cycle_in(g.node_count(), &g.edges);
+            let mut succ = vec![Vec::new(); g.node_count()];
+            for &(u, v, _) in &g.edges {
+                succ[u].push(v);
+            }
+            let cycle = find_cycle_in(succ.len(), |u| succ[u].iter().copied());
             let dot = annotated_dot(&g.labels, &g.edges, cycle.as_deref());
             (cycle, dot, g.labels.clone())
         }
@@ -326,7 +330,7 @@ mod tests {
         // A known-buggy protocol: find a violation, then explain it and
         // cross-check the explanation against the checker's diagnosis.
         let p = MsiProtocol::buggy(Params::new(2, 2, 1));
-        let out = Verifier::new(p.clone()).max_states(2_000_000).run();
+        let out = verify_protocol(p.clone(), VerifyOptions::new().max_states(2_000_000));
         let Outcome::Violation { run, reason, .. } = out else {
             panic!("buggy MSI must produce a violation");
         };

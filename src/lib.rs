@@ -29,10 +29,10 @@
 //! // doc example caps the search — a correct protocol never produces a
 //! // Violation, bounded or not. `symmetry(SymmetryMode::Full)` quotients
 //! // the space by the protocol's processor/block/value symmetry group.
-//! let outcome = Verifier::new(MsiProtocol::new(Params::new(2, 1, 2)))
+//! let opts = VerifyOptions::new()
 //!     .max_states(3_000)
-//!     .symmetry(SymmetryMode::Full)
-//!     .run();
+//!     .symmetry(SymmetryMode::Full);
+//! let outcome = verify_protocol(MsiProtocol::new(Params::new(2, 1, 2)), opts);
 //! assert!(!matches!(outcome, Outcome::Violation { .. }));
 //!
 //! // The fault-injected variant loses an invalidation and is caught with
@@ -44,6 +44,14 @@
 //!     o => panic!("expected a violation, got {:?}", o.stats()),
 //! }
 //! ```
+//!
+//! Every run goes through one driver, [`mc::VerifySystem::try_search`]:
+//! `verify_protocol` builds the product system from the options and calls
+//! it, and callers that want checkpoint errors as values (instead of a
+//! panic) call it directly:
+//! `VerifySystem::with_symmetry(p, opts.symmetry).try_search(&opts)`.
+//! With telemetry installed, each run emits one `verify/<protocol>` run
+//! report.
 //!
 //! ## Crate map
 //!
@@ -77,7 +85,7 @@ pub use scv_types as types;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use crate::explain::{explain_descriptor, explain_violation, ExplainError, Explanation};
-    pub use crate::verifier::{verdict_str, Verifier};
+    pub use crate::verifier::verdict_str;
     pub use scv_checker::{CycleChecker, ScChecker};
     pub use scv_descriptor::{decode, encode, naive_descriptor, Descriptor, Symbol};
     pub use scv_fuzz::{run_fuzz, FuzzOptions, FuzzReport, GenConfig, GenProtocol, Mutation};

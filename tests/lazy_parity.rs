@@ -25,12 +25,8 @@ const THREADS: [usize; 2] = [1, 4];
 
 const SYMS: [SymmetryMode; 3] = [SymmetryMode::Off, SymmetryMode::Proc, SymmetryMode::Full];
 
-fn opts(max_states: usize, threads: usize, sym: SymmetryMode, lazy: bool) -> VerifyOptions {
-    VerifyOptions::new()
-        .max_states(max_states)
-        .threads(threads)
-        .symmetry(sym)
-        .lazy(lazy)
+fn opts(max_states: usize, threads: usize) -> VerifyOptions {
+    VerifyOptions::new().max_states(max_states).threads(threads)
 }
 
 fn verdict(out: &Outcome) -> &'static str {
@@ -43,15 +39,20 @@ fn verdict(out: &Outcome) -> &'static str {
     }
 }
 
-/// Run the same search through both expansion paths.
+/// Run the same search through both expansion paths
+/// ([`VerifySystem::lazy`] is the only eager selector).
 fn both<P>(p: &P, max_states: usize, threads: usize, sym: SymmetryMode) -> (Outcome, Outcome)
 where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    let eager = verify_protocol(p.clone(), opts(max_states, threads, sym, false));
-    let lazy = verify_protocol(p.clone(), opts(max_states, threads, sym, true));
-    (eager, lazy)
+    let o = opts(max_states, threads);
+    let run = |lazy: bool| {
+        VerifySystem::with_symmetry(p.clone(), sym)
+            .lazy(lazy)
+            .search(&o)
+    };
+    (run(false), run(true))
 }
 
 /// Exhaustive searches terminate with the full (quotient) space explored:

@@ -24,6 +24,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use sc_verify::mc::CheckpointError;
 use sc_verify::prelude::*;
 use std::path::PathBuf;
 
@@ -42,6 +43,15 @@ fn base_opts(threads: usize, sym: SymmetryMode) -> VerifyOptions {
         .threads(threads)
         .symmetry(sym)
         .batch_size(16)
+}
+
+/// One run through the search driver, with checkpoint errors as values.
+fn try_run<P>(proto: P, opts: VerifyOptions) -> Result<Outcome, CheckpointError>
+where
+    P: Symmetry + Sync,
+    P::State: Send + Sync + 'static,
+{
+    VerifySystem::with_symmetry(proto, opts.symmetry).try_search(&opts)
 }
 
 /// Replay a counterexample through the raw protocol: every action must be
@@ -107,13 +117,15 @@ where
     let path = ckpt_path(tag, case);
     let _ = std::fs::remove_file(&path);
 
-    let clean = Verifier::with_options(mk(), base_opts(threads, sym)).run();
+    let clean = verify_protocol(mk(), base_opts(threads, sym));
 
-    let killed = Verifier::with_options(mk(), base_opts(threads, sym))
-        .budget(Budget::unlimited().states(kill_at))
-        .checkpoint_to(&path)
-        .run_controlled()
-        .map_err(|e| TestCaseError::fail(format!("kill run: {e}")))?;
+    let killed = try_run(
+        mk(),
+        base_opts(threads, sym)
+            .budget(Budget::unlimited().states(kill_at))
+            .checkpoint_to(&path),
+    )
+    .map_err(|e| TestCaseError::fail(format!("kill run: {e}")))?;
 
     let final_out = match &killed {
         // The budget tripped mid-search: a checkpoint must exist and the
@@ -126,9 +138,7 @@ where
                 kill_at
             );
             prop_assert!(path.is_file(), "budget trip must write the checkpoint");
-            Verifier::with_options(mk(), base_opts(threads, sym))
-                .resume_from(&path)
-                .run_controlled()
+            try_run(mk(), base_opts(threads, sym).resume_from(&path))
                 .map_err(|e| TestCaseError::fail(format!("resume run: {e}")))?
         }
         // The search finished inside the budget (small quotient or an
@@ -256,9 +266,10 @@ proptest! {
 /// checkpoint format does not depend on the worker count.
 #[test]
 fn checkpoint_is_engine_neutral() {
-    let clean = Verifier::new(SerialMemory::new(Params::new(1, 1, 2)))
-        .max_states(2_000_000)
-        .run();
+    let clean = verify_protocol(
+        SerialMemory::new(Params::new(1, 1, 2)),
+        VerifyOptions::new().max_states(2_000_000),
+    );
     let Outcome::Verified { stats } = &clean else {
         panic!("serial memory (1,1,2) must verify exhaustively");
     };
@@ -266,20 +277,24 @@ fn checkpoint_is_engine_neutral() {
     for (kill_threads, resume_threads) in [(4usize, 1usize), (1, 4)] {
         let path = ckpt_path("engine-neutral", kill_threads as u64);
         let _ = std::fs::remove_file(&path);
-        let killed = Verifier::new(SerialMemory::new(Params::new(1, 1, 2)))
-            .max_states(2_000_000)
-            .threads(kill_threads)
-            .budget(Budget::unlimited().states(100))
-            .checkpoint_to(&path)
-            .run_controlled()
-            .unwrap();
+        let killed = try_run(
+            SerialMemory::new(Params::new(1, 1, 2)),
+            VerifyOptions::new()
+                .max_states(2_000_000)
+                .threads(kill_threads)
+                .budget(Budget::unlimited().states(100))
+                .checkpoint_to(&path),
+        )
+        .unwrap();
         assert!(killed.is_inconclusive(), "100-state budget must trip");
-        let resumed = Verifier::new(SerialMemory::new(Params::new(1, 1, 2)))
-            .max_states(2_000_000)
-            .threads(resume_threads)
-            .resume_from(&path)
-            .run_controlled()
-            .unwrap();
+        let resumed = try_run(
+            SerialMemory::new(Params::new(1, 1, 2)),
+            VerifyOptions::new()
+                .max_states(2_000_000)
+                .threads(resume_threads)
+                .resume_from(&path),
+        )
+        .unwrap();
         let _ = std::fs::remove_file(&path);
         assert!(resumed.is_verified(), "{kill_threads}->{resume_threads}");
         assert_eq!(
@@ -298,23 +313,27 @@ fn cancelled_run_checkpoints_and_resumes() {
     let _ = std::fs::remove_file(&path);
     let token = CancelToken::new();
     token.cancel(); // polled at the first admission boundary
-    let out = Verifier::new(SerialMemory::new(Params::new(1, 1, 2)))
-        .max_states(2_000_000)
-        .cancel_token(token)
-        .checkpoint_to(&path)
-        .run_controlled()
-        .unwrap();
+    let out = try_run(
+        SerialMemory::new(Params::new(1, 1, 2)),
+        VerifyOptions::new()
+            .max_states(2_000_000)
+            .cancel_token(token)
+            .checkpoint_to(&path),
+    )
+    .unwrap();
     let Outcome::Inconclusive { reason, .. } = &out else {
         panic!("cancelled run must be inconclusive, got {:?}", out.stats());
     };
     assert_eq!(reason.to_string(), "cancelled");
     assert!(path.is_file(), "cancellation must write the checkpoint");
 
-    let resumed = Verifier::new(SerialMemory::new(Params::new(1, 1, 2)))
-        .max_states(2_000_000)
-        .resume_from(&path)
-        .run_controlled()
-        .unwrap();
+    let resumed = try_run(
+        SerialMemory::new(Params::new(1, 1, 2)),
+        VerifyOptions::new()
+            .max_states(2_000_000)
+            .resume_from(&path),
+    )
+    .unwrap();
     let _ = std::fs::remove_file(&path);
     assert!(resumed.is_verified());
     assert_eq!(resumed.stats().states, 522);

@@ -210,15 +210,41 @@ fn buggy_mesi_caught_under_proc_mode() {
 }
 
 /// Sequential state counts are deterministic, so the 1-thread reduced
-/// count must agree between the facade and the free function — one
-/// construction site for the quotient, not two behaviours.
+/// count must agree between an explicitly built system and the free
+/// function — one construction site for the quotient, not two behaviours.
 #[test]
-fn facade_and_free_function_agree_under_symmetry() {
+fn system_and_free_function_agree_under_symmetry() {
     let o = VerifyOptions::new()
         .max_states(6_000)
         .symmetry(SymmetryMode::Full);
     let direct = verify_protocol(MsiProtocol::new(Params::new(2, 1, 2)), o.clone());
-    let facade = Verifier::with_options(MsiProtocol::new(Params::new(2, 1, 2)), o).run();
-    assert_eq!(verdict(&direct), verdict(&facade));
-    assert_eq!(direct.stats().states, facade.stats().states);
+    let system = VerifySystem::with_symmetry(MsiProtocol::new(Params::new(2, 1, 2)), o.symmetry)
+        .try_search(&o)
+        .expect("no checkpoint is read or written");
+    assert_eq!(verdict(&direct), verdict(&system));
+    assert_eq!(direct.stats().states, system.stats().states);
+}
+
+/// A depth-limited sweep covers the same frontier with and without the
+/// quotient, so the full-symmetry count is strictly smaller (a shared
+/// state cap would instead be hit by both and tie).
+#[test]
+fn full_symmetry_reduces_a_depth_limited_sweep() {
+    let sweep = |sym| {
+        verify_protocol(
+            MsiProtocol::new(Params::new(2, 1, 2)),
+            VerifyOptions::new()
+                .max_states(500_000)
+                .max_depth(6)
+                .symmetry(sym),
+        )
+    };
+    let off = sweep(SymmetryMode::Off);
+    let on = sweep(SymmetryMode::Full);
+    assert!(
+        on.stats().states < off.stats().states,
+        "{} vs {}",
+        on.stats().states,
+        off.stats().states
+    );
 }

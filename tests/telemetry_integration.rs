@@ -6,6 +6,9 @@
 //! * The JSONL sink emits schema-versioned, parseable records covering
 //!   every pipeline phase (search, observer step, descriptor encode,
 //!   checker step).
+//! * Every run, whichever entry point started it, emits exactly one
+//!   `verify/<protocol>` run report whose verdict and state count match
+//!   its outcome.
 //! * The §5 runtime monitor reports a structured `MonitorDivergence`
 //!   event (step index, symbol, diagnosis) when a run stops being SC.
 //!
@@ -99,12 +102,6 @@ fn jsonl_stream_is_schema_valid_and_covers_pipeline_phases() {
         telemetry::JsonlSink::create(&path).expect("temp jsonl"),
     ));
     let out = verify_protocol(small_serial(), opts(1));
-    telemetry::emit_report(
-        telemetry::RunReport::new("verify/serial-memory")
-            .param("threads", 1)
-            .with_verdict("verified")
-            .metric("states", out.stats().states as f64),
-    );
     telemetry::shutdown();
 
     let text = std::fs::read_to_string(&path).expect("jsonl written");
@@ -149,7 +146,7 @@ fn jsonl_stream_is_schema_valid_and_covers_pipeline_phases() {
     assert!(types.contains("run_report"), "saw {types:?}");
     assert!(types.contains("counters"), "saw {types:?}");
 
-    // The report round-trips through the typed parser.
+    // The run's own report round-trips through the typed parser.
     let reports = telemetry::parse_reports(&text).expect("reports parse");
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].name, "verify/serial-memory");
@@ -158,6 +155,77 @@ fn jsonl_stream_is_schema_valid_and_covers_pipeline_phases() {
         reports[0].get_metric("states"),
         Some(out.stats().states as f64)
     );
+}
+
+/// The run reports a session has received so far.
+fn run_reports(session: &telemetry::TestSession) -> Vec<telemetry::RunReport> {
+    session
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            telemetry::Event::Report(r) => Some(r),
+            _ => None,
+        })
+        .collect()
+}
+
+fn param<'a>(report: &'a telemetry::RunReport, key: &str) -> Option<&'a str> {
+    report
+        .params
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+#[test]
+fn every_run_emits_exactly_one_run_report() {
+    // A finished run: the report mirrors the outcome.
+    {
+        let session = telemetry::TestSession::start();
+        let out = verify_protocol(small_serial(), opts(1));
+        let reports = run_reports(&session);
+        assert_eq!(reports.len(), 1, "one report per run: {reports:?}");
+        let r = &reports[0];
+        assert_eq!(r.name, "verify/serial-memory");
+        assert_eq!(r.verdict, verdict_str(&out));
+        assert_eq!(r.get_metric("states"), Some(out.stats().states as f64));
+        assert_eq!(param(r, "expand"), Some("lazy"));
+        assert_eq!(param(r, "interrupt"), None);
+    }
+    // An inconclusive run (state budget) also names what interrupted it.
+    {
+        let session = telemetry::TestSession::start();
+        let out = verify_protocol(
+            small_serial(),
+            opts(1).budget(Budget::unlimited().states(100)),
+        );
+        let Outcome::Inconclusive { reason, .. } = &out else {
+            panic!("a 100-state budget must trip, got {:?}", out.stats());
+        };
+        let reports = run_reports(&session);
+        assert_eq!(reports.len(), 1, "one report per run: {reports:?}");
+        let r = &reports[0];
+        assert_eq!(r.name, "verify/serial-memory");
+        assert_eq!(r.verdict, "inconclusive");
+        assert_eq!(r.get_metric("states"), Some(out.stats().states as f64));
+        assert_eq!(param(r, "interrupt"), Some(reason.to_string().as_str()));
+    }
+    // `search` and `try_search` on a built system report the same way,
+    // and the eager reference path says so.
+    {
+        let session = telemetry::TestSession::start();
+        let sys = VerifySystem::new(small_serial()).lazy(false);
+        let searched = sys.search(&opts(1));
+        let tried = sys.try_search(&opts(1)).expect("no checkpoint involved");
+        let reports = run_reports(&session);
+        assert_eq!(reports.len(), 2, "one report per run: {reports:?}");
+        for (r, out) in reports.iter().zip([&searched, &tried]) {
+            assert_eq!(r.name, "verify/serial-memory");
+            assert_eq!(r.verdict, verdict_str(out));
+            assert_eq!(r.get_metric("states"), Some(out.stats().states as f64));
+            assert_eq!(param(r, "expand"), Some("eager"));
+        }
+    }
 }
 
 #[test]

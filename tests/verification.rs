@@ -49,6 +49,16 @@ fn lazy_caching_is_safe() {
     assert!(safe_within(&out), "{:?}", out.stats());
 }
 
+/// Queues of depth 2 are where a memory read could refresh a cache while
+/// an older update to the same block is still queued for it, so that the
+/// later cache update serves a stale value; the `MR` guard must rule it
+/// out.
+#[test]
+fn lazy_caching_qo_qi_2_is_safe() {
+    let out = verify_protocol(LazyCaching::new(Params::new(2, 1, 1), 2, 2), opts(20_000));
+    assert!(safe_within(&out), "{:?}", out.stats());
+}
+
 #[test]
 fn buggy_msi_yields_genuine_counterexample() {
     match verify_protocol(MsiProtocol::buggy(Params::new(2, 2, 1)), opts(2_000_000)) {
