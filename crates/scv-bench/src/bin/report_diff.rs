@@ -18,14 +18,6 @@
 //!
 //! `--json` replaces the human-readable table with one machine-readable
 //! JSON document on stdout (same comparison, same exit codes).
-//!
-//! `--improve SUBSTR=PCT` (repeatable) sets an *improvement floor*: every
-//! matched report whose name contains `SUBSTR` must show `states_per_sec`
-//! at least `PCT`% above the old value, or it is flagged as a regression
-//! regardless of the symmetric threshold. `PCT` may be negative to mean
-//! "tolerate at most that much drop" — e.g. `--improve sym=full=-5` holds
-//! the full-symmetry rows to a 5% drop where the default threshold would
-//! allow 10%.
 
 use scv_telemetry::{parse_reports, Direction, Json, RunReport};
 use std::collections::HashMap;
@@ -95,10 +87,7 @@ fn pair(old: &[RunReport], new: &[RunReport]) -> (Vec<(usize, usize)>, Vec<usize
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: report_diff <old.jsonl> <new.jsonl> [--threshold PCT] \
-         [--improve SUBSTR=PCT]... [--json]"
-    );
+    eprintln!("usage: report_diff <old.jsonl> <new.jsonl> [--threshold PCT] [--json]");
     ExitCode::from(2)
 }
 
@@ -112,7 +101,6 @@ fn main() -> ExitCode {
     let mut paths = Vec::new();
     let mut threshold = 10.0f64;
     let mut json_out = false;
-    let mut improves: Vec<(String, f64)> = Vec::new();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -125,22 +113,6 @@ fn main() -> ExitCode {
                     Ok(t) if t >= 0.0 => threshold = t,
                     _ => {
                         eprintln!("error: --threshold must be a non-negative percentage");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--improve" => {
-                let Some(v) = it.next() else {
-                    return usage();
-                };
-                // Split on the *last* '=' so SUBSTR may itself contain
-                // '=' (report names like `sym=full/t=1` do).
-                match v.rsplit_once('=').map(|(p, t)| (p, t.parse::<f64>())) {
-                    Some((pat, Ok(pct))) if !pat.is_empty() => {
-                        improves.push((pat.to_string(), pct));
-                    }
-                    _ => {
-                        eprintln!("error: --improve expects SUBSTR=PCT");
                         return ExitCode::from(2);
                     }
                 }
@@ -222,43 +194,6 @@ fn main() -> ExitCode {
                 );
             }
         }
-        // Improvement floors: throughput on matching rows must clear the
-        // configured margin over the old baseline, not merely avoid the
-        // symmetric regression threshold.
-        let mut floor_docs: Vec<Json> = Vec::new();
-        for (pat, min_pct) in &improves {
-            if !o.name.contains(pat.as_str()) {
-                continue;
-            }
-            let rate = |r: &RunReport| {
-                r.metrics
-                    .iter()
-                    .find(|(k, _)| k == "states_per_sec")
-                    .map(|&(_, v)| v)
-            };
-            let (Some(ov), Some(nv)) = (rate(o), rate(n)) else {
-                continue;
-            };
-            if ov <= 0.0 {
-                continue;
-            }
-            let pct = (nv - ov) / ov * 100.0;
-            let ok = pct >= *min_pct;
-            regressions += !ok as usize;
-            if json_out {
-                floor_docs.push(Json::obj([
-                    ("pattern".to_string(), Json::Str(pat.clone())),
-                    ("min_pct".to_string(), Json::Num(*min_pct)),
-                    ("pct".to_string(), Json::Num(pct)),
-                    ("ok".to_string(), Json::Bool(ok)),
-                ]));
-            } else {
-                let flag = if ok { "" } else { "  BELOW FLOOR" };
-                println!(
-                    "   floor[{pat}] states_per_sec {pct:+.1}% (need >= {min_pct:+.1}%){flag}"
-                );
-            }
-        }
         if json_out {
             report_docs.push(Json::obj([
                 ("name".to_string(), Json::Str(o.name.clone())),
@@ -266,7 +201,6 @@ fn main() -> ExitCode {
                 ("old_verdict".to_string(), Json::Str(o.verdict.clone())),
                 ("new_verdict".to_string(), Json::Str(n.verdict.clone())),
                 ("metrics".to_string(), Json::Arr(metric_docs)),
-                ("floors".to_string(), Json::Arr(floor_docs)),
             ]));
         }
     }

@@ -764,7 +764,7 @@ impl<P: Symmetry> VerifySystem<P> {
     /// Select admission-gated lazy materialization (`true`, the default)
     /// or the eager reference expansion path (`false`). This is the only
     /// way to select the eager path, which exists as the oracle the parity
-    /// tests and the `perf` harness compare the lazy path against.
+    /// tests compare the lazy path against.
     /// Consuming builder, consistent with [`VerifySystem::with_symmetry`]:
     ///
     /// ```ignore
@@ -1113,9 +1113,9 @@ pub struct VerifyOptions {
     /// per seen-set lock acquisition.
     pub batch_size: usize,
     /// Symmetry reduction: quotient the product space by the protocol's
-    /// declared symmetry group. Consumed by [`verify_protocol`] when it
-    /// builds the system; [`VerifySystem::search`] runs whatever quotient
-    /// the system was built with.
+    /// declared symmetry group. [`verify_protocol`] builds the system with
+    /// this mode; [`VerifySystem::try_search`] panics if it differs from
+    /// the mode the system was built with.
     pub symmetry: SymmetryMode,
     /// Resource budget for the run (wall clock, admitted states, resident
     /// memory). Tripping yields [`Outcome::Inconclusive`].
@@ -1365,7 +1365,16 @@ where
     /// emits one [`scv_telemetry::RunReport`] named `verify/<protocol>`
     /// with the verdict and search stats (and, for an inconclusive run,
     /// the interrupt reason and frontier size).
+    ///
+    /// Panics if [`VerifyOptions::symmetry`] is not the mode this system
+    /// was built with: a run has one symmetry mode, named in both places.
     pub fn try_search(&self, opts: &VerifyOptions) -> Result<Outcome, CheckpointError> {
+        assert!(
+            opts.symmetry == self.mode,
+            "VerifyOptions::symmetry is {:?} but the system was built with {:?}",
+            opts.symmetry,
+            self.mode
+        );
         let out = self.run_slices(opts)?;
         if scv_telemetry::enabled() {
             self.emit_run_report(opts, &out);
@@ -2146,10 +2155,20 @@ mod tests {
             SerialMemory::new(Params::new(2, 1, 1)),
             SymmetryMode::Full,
         )
-        .try_search(&opts(30_000).resume_from(&path))
+        .try_search(&opts(30_000).symmetry(SymmetryMode::Full).resume_from(&path))
         .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[should_panic(expected = "VerifyOptions::symmetry is Off but the system was built with Full")]
+    fn options_naming_another_symmetry_mode_are_rejected() {
+        let sys = VerifySystem::with_symmetry(
+            SerialMemory::new(Params::new(2, 1, 1)),
+            SymmetryMode::Full,
+        );
+        let _ = sys.try_search(&opts(1_000));
     }
 
     #[test]

@@ -47,7 +47,7 @@ where
 {
     VerifySystem::with_symmetry(proto, sym)
         .lazy(lazy)
-        .search(&VerifyOptions::new().max_states(cap))
+        .search(&VerifyOptions::new().max_states(cap).symmetry(sym))
 }
 
 /// Run one configuration through both expansion paths and demand exact

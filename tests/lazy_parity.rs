@@ -46,7 +46,7 @@ where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    let o = opts(max_states, threads);
+    let o = opts(max_states, threads).symmetry(sym);
     let run = |lazy: bool| {
         VerifySystem::with_symmetry(p.clone(), sym)
             .lazy(lazy)
